@@ -233,6 +233,8 @@ def _g_range(cfg: RunConfig, n: "int | None") -> list[int]:
     if cfg.g is not None:
         return [cfg.g]
     if cfg.g_max is not None:
+        if cfg.g_max < 1:
+            raise ValueError(f"--g-max must be at least 1, got {cfg.g_max}")
         return list(range(1, cfg.g_max + 1))
     if cfg.g_all:
         if n is None:
@@ -330,8 +332,8 @@ def _run_cut(cfg: RunConfig):
             file=sys.stderr,
         )
     clock = _Clock(cfg.timing)
-    cut = build_component_cut(recipe, g, max_dim=cfg.max_dim)
     graph = materialize(recipe, max_dim=cfg.max_dim)
+    cut = build_component_cut(recipe, g)
     report = verify_cut(graph, cut, g)
     if cfg.cut_out:
         save_cut(cut, n, g, cfg.cut_out)

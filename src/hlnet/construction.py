@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from .formulas import binary_decomposition, extremal_edge_count
-from .recipes import MAX_DIM, Graph, Recipe, materialize, split
+from .recipes import Graph, Recipe, split
 
 
 @dataclass(frozen=True)
@@ -44,6 +44,13 @@ class SelectionTrace:
         return frozenset(out)
 
 
+def _check_budget(recipe: Recipe, g: int) -> None:
+    if not 1 <= g < (1 << recipe.dim):
+        raise ValueError(
+            f"g={g} out of range 1..{(1 << recipe.dim) - 1} for dim {recipe.dim}"
+        )
+
+
 def select_extremal_subgraph(recipe: Recipe, g: int) -> SelectionTrace:
     """Pick g vertices whose induced subgraph attains the extremal count.
 
@@ -52,10 +59,7 @@ def select_extremal_subgraph(recipe: Recipe, g: int) -> SelectionTrace:
     2^t_j matching edges to each later block j.  Deterministic: the descent
     always takes the left child, so the trace depends only on (recipe, g).
     """
-    if not 1 <= g < (1 << recipe.dim):
-        raise ValueError(
-            f"g={g} out of range 1..{(1 << recipe.dim) - 1} for dim {recipe.dim}"
-        )
+    _check_budget(recipe, g)
     blocks = []
     current = recipe
     path = ""
@@ -74,21 +78,30 @@ def select_extremal_subgraph(recipe: Recipe, g: int) -> SelectionTrace:
     return SelectionTrace(recipe.dim, tuple(blocks))
 
 
-def build_component_cut(
-    recipe: Recipe, g: int, max_dim: int = MAX_DIM
-) -> set[tuple[int, int]]:
+def build_component_cut(recipe: Recipe, g: int) -> set[tuple[int, int]]:
     """Every edge touching the extremal selection: a (g+1)-component cut.
 
-    The cut has size n*g - e(g) and its removal leaves the g selected
-    vertices isolated plus at least one more component.
+    The selection is labels 0..g-1, so the cut is read off the recipe
+    without building the graph.  A matching edge's left end has the lower
+    label, so the edge touches the selection iff its left end does: only
+    nodes whose label range meets 0..g-1 are visited, and each contributes
+    the edges at its first g - offset left-half vertices.  The cut has size
+    n*g - e(g) and its removal leaves the g selected vertices isolated plus
+    at least one more component.
     """
-    trace = select_extremal_subgraph(recipe, g)
-    graph = materialize(recipe, max_dim=max_dim)
-    chosen = trace.union
+    _check_budget(recipe, g)
     cut: set[tuple[int, int]] = set()
-    for v in chosen:
-        for w in graph.neighbors(v):
-            cut.add((v, w) if v < w else (w, v))
+
+    def walk(r: Recipe, offset: int) -> None:
+        if r.is_leaf or offset >= g:
+            return
+        base = offset + (1 << (r.dim - 1))
+        for i, m in enumerate(r.matching[: g - offset]):  # type: ignore[index]
+            cut.add((offset + i, base + m))
+        walk(r.left, offset)  # type: ignore[arg-type]
+        walk(r.right, base)  # type: ignore[arg-type]
+
+    walk(recipe, 0)
     return cut
 
 

@@ -15,6 +15,7 @@ lexicographically smallest block-assignment string for partitions.
 
 from __future__ import annotations
 
+import sys
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -26,6 +27,10 @@ COMPLETE = "complete"
 INCOMPLETE = "incomplete"
 
 _TIME_CHECK_INTERVAL = 4096
+
+#: Frames kept free for the searches' callers; the rest of the interpreter's
+#: recursion limit bounds how deep the recursive DFS may go.
+_CALLER_FRAMES = 100
 
 
 @dataclass(frozen=True)
@@ -68,6 +73,16 @@ class _Budget:
         return True
 
 
+def _check_search_depth(total: int) -> None:
+    # both DFSs recurse once per vertex, plus one frame for the budget check
+    reach = sys.getrecursionlimit() - _CALLER_FRAMES - 2
+    if total > reach:
+        raise ValueError(
+            f"graph has {total} vertices, more than the {reach} levels the "
+            f"recursive search reaches under recursion limit {sys.getrecursionlimit()}"
+        )
+
+
 class MaxEdgesResult(NamedTuple):
     value: int
     witness: tuple[int, ...]
@@ -104,6 +119,7 @@ def max_induced_edges(
     if k == total:
         return MaxEdgesResult(graph.edge_count, tuple(range(total)), COMPLETE)
 
+    _check_search_depth(total)
     masks = graph.neighbor_masks()
     maxdeg = max((len(graph.neighbors(v)) for v in range(total)), default=0)
     # gain_tail[c] bounds the edges gained by the remaining k - c picks
@@ -158,6 +174,7 @@ def min_component_edge_cut(
     if not 2 <= parts <= total:
         raise ValueError(f"parts={parts} out of range 2..{total}")
 
+    _check_search_depth(total)
     masks = graph.neighbor_masks()
     backdeg = [(masks[v] & ((1 << v) - 1)).bit_count() for v in range(total)]
 

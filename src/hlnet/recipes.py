@@ -83,14 +83,13 @@ def _check_permutation(matching: tuple[int, ...], size: int) -> None:
         raise RecipeError(
             f"matching length {len(matching)} does not match half size {size}"
         )
-    seen = 0
+    seen = bytearray(size)
     for v in matching:
         if not isinstance(v, int) or isinstance(v, bool) or not 0 <= v < size:
             raise RecipeError(f"matching image {v!r} outside 0..{size - 1}")
-        bit = 1 << v
-        if seen & bit:
+        if seen[v]:
             raise RecipeError(f"matching is not a permutation: image {v} duplicated")
-        seen |= bit
+        seen[v] = 1
 
 
 _LEAF = Recipe(0)
@@ -245,7 +244,8 @@ class Graph:
         return len(self._adj[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        return v in self._adj[u]
+        """True iff u and v are adjacent; out-of-range labels are never adjacent."""
+        return 0 <= u < len(self._adj) and v in self._adj[u]
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) pairs with u < v, in sorted order."""

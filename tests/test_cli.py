@@ -231,6 +231,43 @@ def test_usage_errors(capsys):
     capsys.readouterr()
 
 
+def test_verify_rejects_out_of_range_cut_edge(tmp_path, capsys):
+    graph_path = tmp_path / "g.edges"
+    cut_path = tmp_path / "c.edges"
+    main(["gen", "--n", "3", "--graph-out", str(graph_path)])
+    cut_path.write_text("# hl-cut n=3 g=1 size=1\n5000 5001\n")
+    capsys.readouterr()
+    assert main(["verify", "--graph", str(graph_path), "--cut", str(cut_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: pair (5000, 5001) is not an edge of the graph\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle-eg", "--n", "10", "--g", "5", "--max-nodes", "100000"],
+        ["oracle-clambda", "--n", "10", "--g", "1", "--max-nodes", "1000"],
+    ],
+)
+def test_oracle_rejects_graph_deeper_than_recursion_limit(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: graph has 1024 vertices, more than the ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["eg"], ["oracle-eg", "--n", "3"]],
+)
+@pytest.mark.parametrize("g_max", ["0", "-1"])
+def test_g_max_below_one_is_a_usage_error(argv, g_max, capsys):
+    assert main(argv + ["--g-max", g_max]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --g-max must be at least 1, got {g_max}\n"
+
+
 def test_gen_writes_recipe_to_stdout(capsys):
     assert main(["gen", "--n", "2"]) == 0
     doc = json.loads(capsys.readouterr().out)

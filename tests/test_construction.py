@@ -129,6 +129,28 @@ def test_cut_is_boundary_plus_induced(g84_graph):
         assert len(cut) == 3 * g - extremal_edge_count(g)
 
 
+CROSS_CHECK_RECIPES = (
+    [g84()]
+    + [hypercube(n) for n in range(1, 7)]
+    + [random_hl(n, seed) for n in range(1, 8) for seed in range(4)]
+)
+
+
+@pytest.mark.parametrize("recipe", CROSS_CHECK_RECIPES)
+def test_cut_equals_materialized_star_of_first_labels(recipe):
+    # the cut is walked off the recipe; check it against a real graph
+    edges = list(materialize(recipe).edges())
+    for g in range(1, 1 << recipe.dim):
+        assert build_component_cut(recipe, g) == {(u, v) for u, v in edges if u < g}
+
+
+def test_cut_domain_errors():
+    with pytest.raises(ValueError, match="out of range"):
+        build_component_cut(hypercube(3), 0)
+    with pytest.raises(ValueError, match="out of range"):
+        build_component_cut(hypercube(3), 8)
+
+
 # --- cut verification ---------------------------------------------------------
 
 
@@ -152,6 +174,13 @@ def test_verify_constructed_cut(q4):
 def test_verify_rejects_non_edge(q3):
     with pytest.raises(ValueError, match="not an edge"):
         verify_cut(q3, {(0, 7)}, 1)
+
+
+@pytest.mark.parametrize("pair", [(-1, 6), (5000, 5001)])
+def test_verify_rejects_out_of_range_pair(q3, pair):
+    assert not q3.has_edge(*pair)
+    with pytest.raises(ValueError, match="not an edge"):
+        verify_cut(q3, {pair}, 1)
 
 
 def test_verify_two_adjacent_stars_cross_checked(q3):

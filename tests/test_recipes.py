@@ -80,6 +80,21 @@ def test_compose_rejects_non_permutation():
         compose(hypercube(2), hypercube(2), [0, 1, 1, 2])
 
 
+@pytest.mark.parametrize(
+    "matching, message",
+    [
+        ([0, True, 2, 3], "matching image True outside 0..3"),
+        ([0, 1, "2", 3], "matching image '2' outside 0..3"),
+        ([0, 1, 2.0, 3], "matching image 2.0 outside 0..3"),
+        ([0, 1, 2, 3, 4], "matching length 5 does not match half size 4"),
+    ],
+)
+def test_compose_permutation_check_messages(matching, message):
+    with pytest.raises(RecipeError) as excinfo:
+        compose(hypercube(2), hypercube(2), matching)
+    assert str(excinfo.value) == message
+
+
 def test_split_is_inverse_of_compose():
     left = hypercube(2)
     right = compose(hypercube(1), hypercube(1), [1, 0])
