@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from .formulas import binary_decomposition, extremal_edge_count
-from .recipes import Graph, Recipe, split
+from .recipes import Graph, Recipe, _read_edge_list, _write_document, split
 
 
 @dataclass(frozen=True)
@@ -37,11 +37,9 @@ class SelectionTrace:
     blocks: tuple[SelectionBlock, ...]
 
     @property
-    def union(self) -> frozenset[int]:
-        out: set[int] = set()
-        for block in self.blocks:
-            out.update(block.vertices)
-        return frozenset(out)
+    def union(self) -> range:
+        """All selected labels: the blocks tile 0..g-1, so this is range(g)."""
+        return range(sum(1 << block.dim for block in self.blocks))
 
 
 def _check_budget(recipe: Recipe, g: int) -> None:
@@ -173,39 +171,18 @@ def save_cut(
 ) -> None:
     """Write a cut as an edge list under an '# hl-cut' header."""
     ordered = sorted((u, v) if u < v else (v, u) for u, v in edges)
-    lines = [f"# hl-cut n={n} g={g} size={len(ordered)}"]
-    lines.extend(f"{u} {v}" for u, v in ordered)
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)  # type: ignore[union-attr]
-    else:
-        Path(destination).write_text(text)  # type: ignore[arg-type]
+    _write_document(
+        destination,
+        f"# hl-cut n={n} g={g} size={len(ordered)}",
+        (f"{u} {v}" for u, v in ordered),
+    )
 
 
 def load_cut(source: "str | Path | IO[str]") -> tuple[set[tuple[int, int]], int, int]:
     """Parse a cut document; returns (edges, n, g)."""
-    if hasattr(source, "read"):
-        text = source.read()  # type: ignore[union-attr]
-    else:
-        text = Path(source).read_text()  # type: ignore[arg-type]
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# hl-cut"):
-        raise ValueError("cut document must start with an '# hl-cut' header")
-    fields = dict(part.split("=", 1) for part in lines[0].split() if "=" in part)
-    try:
-        n = int(fields["n"])
-        g = int(fields["g"])
-        size = int(fields["size"])
-    except (KeyError, ValueError):
-        raise ValueError("cut header needs integer n=, g=, size=") from None
+    (n, g, size), pairs = _read_edge_list(source, "cut", ("n", "g", "size"))
     edges = set()
-    for ln in lines[1:]:
-        if ln.startswith("#"):
-            continue
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line: {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+    for u, v in pairs:
         if not u < v:
             raise ValueError(f"edge ({u}, {v}) must be written with u < v")
         edges.add((u, v))

@@ -162,8 +162,16 @@ def run_property_suite(
     Pairwise checks run over all pairs summing to at most g_max; the step
     identity runs to increment_max; the degree-slack check covers dimensions
     up to slack_n_max and the monotonicity check up to monotone_n_max, each
-    with the per-dimension g window capped at g_max.
+    with the per-dimension g window capped at g_max.  Raises ValueError
+    for ranges too small to give every check a case.
     """
+    if g_max < 2 or increment_max < 1 or slack_n_max < 2 or monotone_n_max < 2:
+        raise ValueError(
+            "every check needs a case: g_max, slack_n_max and monotone_n_max must "
+            f"be at least 2 and increment_max at least 1; got g_max={g_max}, "
+            f"increment_max={increment_max}, slack_n_max={slack_n_max}, "
+            f"monotone_n_max={monotone_n_max}"
+        )
     table = _edge_count_table(max(g_max, increment_max) + 1)
     results = []
 

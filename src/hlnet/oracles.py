@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
-from .recipes import Graph
+from .recipes import Graph, _write_document
 
 COMPLETE = "complete"
 INCOMPLETE = "incomplete"
@@ -367,10 +367,8 @@ def save_partition(
     witness: PartitionWitness, destination: "str | Path | IO[str]"
 ) -> None:
     """Write a witness as text: header, then one block per line."""
-    lines = [f"# partition blocks={len(witness.blocks)} cross={len(witness.cross_edges)}"]
-    lines.extend(" ".join(str(v) for v in block) for block in witness.blocks)
-    text = "\n".join(lines) + "\n"
-    if hasattr(destination, "write"):
-        destination.write(text)  # type: ignore[union-attr]
-    else:
-        Path(destination).write_text(text)  # type: ignore[arg-type]
+    _write_document(
+        destination,
+        f"# partition blocks={len(witness.blocks)} cross={len(witness.cross_edges)}",
+        (" ".join(str(v) for v in block) for block in witness.blocks),
+    )

@@ -11,6 +11,7 @@ range (top bit 0), the right subnetwork the upper half.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -412,7 +413,11 @@ def loads_recipe(text: str) -> Recipe:
     return _recipe_from_obj(obj, "$")
 
 
-def _write_text(text: str, destination: "str | Path | IO[str]") -> None:
+def _write_document(
+    destination: "str | Path | IO[str]", header: str, lines: Iterable[str] = ()
+) -> None:
+    """Write the header and then each line, newline-terminated, to a path or stream."""
+    text = "\n".join([header, *lines]) + "\n"
     if hasattr(destination, "write"):
         destination.write(text)  # type: ignore[union-attr]
     else:
@@ -425,8 +430,37 @@ def _read_text(source: "str | Path | IO[str]") -> str:
     return Path(source).read_text()  # type: ignore[arg-type]
 
 
+def _read_edge_list(
+    source: "str | Path | IO[str]", kind: str, keys: tuple[str, ...]
+) -> tuple[list[int], Iterator[tuple[int, int]]]:
+    """Parse an '# hl-<kind> key=value ...' document: the integer values of
+    ``keys`` in order, and a lazy iterator over its 'u v' pairs (blank and
+    '#' lines skipped).  Range, order, duplicate and count checks are the
+    loader's."""
+    lines = [ln.strip() for ln in _read_text(source).splitlines() if ln.strip()]
+    if not lines or not lines[0].startswith(f"# hl-{kind}"):
+        raise ValueError(f"{kind} document must start with an '# hl-{kind}' header")
+    fields = dict(part.split("=", 1) for part in lines[0].split() if "=" in part)
+    try:
+        values = [int(fields[key]) for key in keys]
+    except (KeyError, ValueError):
+        names = ", ".join(f"{key}=" for key in keys)
+        raise ValueError(f"{kind} header needs integer {names}") from None
+
+    def pairs() -> Iterator[tuple[int, int]]:
+        for ln in lines[1:]:
+            if ln.startswith("#"):
+                continue
+            parts = ln.split()
+            if len(parts) != 2:
+                raise ValueError(f"malformed edge line: {ln!r}")
+            yield int(parts[0]), int(parts[1])
+
+    return values, pairs()
+
+
 def save_recipe(recipe: Recipe, destination: "str | Path | IO[str]") -> None:
-    _write_text(dumps_recipe(recipe), destination)
+    _write_document(destination, json.dumps(recipe_to_obj(recipe), indent=2))
 
 
 def load_recipe(source: "str | Path | IO[str]") -> Recipe:
@@ -435,39 +469,28 @@ def load_recipe(source: "str | Path | IO[str]") -> Recipe:
 
 def save_graph(graph: Graph, destination: "str | Path | IO[str]") -> None:
     """Write the plain-text edge list with its counting header."""
-    lines = [
-        f"# hl-graph n={graph.n} vertices={graph.vertex_count} edges={graph.edge_count}"
-    ]
-    lines.extend(f"{u} {v}" for u, v in graph.edges())
-    _write_text("\n".join(lines) + "\n", destination)
+    _write_document(
+        destination,
+        f"# hl-graph n={graph.n} vertices={graph.vertex_count} edges={graph.edge_count}",
+        (f"{u} {v}" for u, v in graph.edges()),
+    )
 
 
 def load_graph(source: "str | Path | IO[str]") -> Graph:
-    """Parse an edge-list document written by save_graph."""
-    text = _read_text(source)
-    lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
-    if not lines or not lines[0].startswith("# hl-graph"):
-        raise ValueError("graph document must start with an '# hl-graph' header")
-    fields = dict(
-        part.split("=", 1) for part in lines[0].split() if "=" in part
+    """Parse an edge-list document written by save_graph.
+
+    Adjacency is kept only for the vertices the listed edges touch, so a
+    header claiming a huge dimension costs no more than the document's size.
+    """
+    (n, vertices, edges), pairs = _read_edge_list(
+        source, "graph", ("n", "vertices", "edges")
     )
-    try:
-        n = int(fields["n"])
-        vertices = int(fields["vertices"])
-        edges = int(fields["edges"])
-    except (KeyError, ValueError):
-        raise ValueError("graph header needs integer n=, vertices=, edges=") from None
-    if vertices != 1 << n:
+    # bit_length first: then 1 << n never outgrows the header's vertex count
+    if n < 0 or vertices.bit_length() != n + 1 or vertices != 1 << n:
         raise ValueError(f"header claims {vertices} vertices for dim {n}")
-    neighbors: list[set[int]] = [set() for _ in range(vertices)]
+    neighbors: defaultdict[int, set[int]] = defaultdict(set)
     count = 0
-    for ln in lines[1:]:
-        if ln.startswith("#"):
-            continue
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ValueError(f"malformed edge line: {ln!r}")
-        u, v = int(parts[0]), int(parts[1])
+    for u, v in pairs:
         if not (0 <= u < v < vertices):
             raise ValueError(f"edge ({u}, {v}) out of range or unordered")
         if v in neighbors[u]:
@@ -477,7 +500,9 @@ def load_graph(source: "str | Path | IO[str]") -> Graph:
         count += 1
     if count != edges:
         raise ValueError(f"header claims {edges} edges, found {count}")
-    for v, nb in enumerate(neighbors):
-        if len(nb) != n:
-            raise ValueError(f"vertex {v} has degree {len(nb)}, expected {n}")
-    return Graph(n, tuple(tuple(sorted(nb)) for nb in neighbors))
+    # with n >= 1 the first vertex no edge touches ends this scan
+    for v in range(vertices):
+        degree = len(neighbors.get(v, ()))
+        if degree != n:
+            raise ValueError(f"vertex {v} has degree {degree}, expected {n}")
+    return Graph(n, tuple(tuple(sorted(neighbors[v])) for v in range(vertices)))

@@ -280,3 +280,44 @@ def test_recipe_seed_forms_agree(capsys):
     main(["gen", "--n", "4", "--recipe", "random", "--seed", "7"])
     flagged = capsys.readouterr().out
     assert inline == flagged
+
+
+def test_suite_rejects_vacuous_ranges(capsys):
+    argv = ["suite", "--g-max", "0", "--i-max", "0", "--n-max", "1", "--n-max-mono", "1"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: every check needs a case: g_max, slack_n_max and monotone_n_max "
+        "must be at least 2 and increment_max at least 1; got g_max=0, "
+        "increment_max=0, slack_n_max=1, monotone_n_max=1\n"
+    )
+
+
+def test_eg_rejects_negative_dimension(capsys):
+    assert main(["eg", "--n", "-3", "--g", "1"]) == 2
+    assert capsys.readouterr().err == "error: --n must be non-negative, got -3\n"
+
+
+def test_eg_range_check_does_not_shift_by_a_huge_dimension(capsys):
+    n = str(10**12)
+    assert main(["eg", "--n", n, "--g", "5", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == f"{n},5,5,,,ok,0"
+    assert main(["eg", "--n", "2", "--g", "5"]) == 2
+    assert capsys.readouterr().err == "error: g=5 out of range for dimension 2\n"
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("n=-1 vertices=0 edges=0", "header claims 0 vertices for dim -1"),
+        ("n=40 vertices=1099511627776 edges=0", "vertex 0 has degree 0, expected 40"),
+    ],
+)
+def test_verify_rejects_bad_graph_header(header, message, tmp_path, capsys):
+    graph_path = tmp_path / "g.edges"
+    cut_path = tmp_path / "c.edges"
+    graph_path.write_text(f"# hl-graph {header}\n")
+    cut_path.write_text("# hl-cut n=1 g=1 size=1\n0 1\n")
+    assert main(["verify", "--graph", str(graph_path), "--cut", str(cut_path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -191,3 +191,28 @@ def test_property_suite_small_ranges_pass():
     for c in checks:
         assert c.passed, (c.name, c.witness, c.lhs, c.rhs)
         assert c.cases > 0
+
+
+def test_property_suite_smallest_ranges_give_every_check_a_case():
+    checks = run_property_suite(
+        g_max=2, slack_n_max=2, increment_max=1, monotone_n_max=2
+    )
+    assert [c.cases for c in checks] == [1, 1, 1, 1, 1]
+    assert all(c.passed for c in checks)
+
+
+@pytest.mark.parametrize(
+    "ranges",
+    [
+        {"g_max": 1},
+        {"g_max": 0},
+        {"increment_max": 0},
+        {"slack_n_max": 1},
+        {"monotone_n_max": 1},
+        {"g_max": 0, "increment_max": 0, "slack_n_max": 1, "monotone_n_max": 1},
+    ],
+)
+def test_property_suite_rejects_ranges_with_an_empty_check(ranges):
+    full = {"g_max": 2, "slack_n_max": 2, "increment_max": 1, "monotone_n_max": 2}
+    with pytest.raises(ValueError, match="^every check needs a case: "):
+        run_property_suite(**{**full, **ranges})

@@ -1,4 +1,5 @@
 import io
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -15,6 +16,7 @@ from hlnet import (
     induced_edge_count,
     isomorphic_small,
     leaf,
+    load_cut,
     load_graph,
     load_recipe,
     loads_recipe,
@@ -341,3 +343,97 @@ def test_graph_load_rejects_bad_degree(tmp_path):
     path.write_text("# hl-graph n=1 vertices=2 edges=0\n")
     with pytest.raises(ValueError, match="degree"):
         load_graph(path)
+
+
+# --- edge-list loader errors ------------------------------------------------
+
+GRAPH_HEAD = "# hl-graph n=1 vertices=2 edges=1\n"
+CUT_HEAD = "# hl-cut n=3 g=1 size=1\n"
+NO_GRAPH_HEADER = "graph document must start with an '# hl-graph' header"
+NO_CUT_HEADER = "cut document must start with an '# hl-cut' header"
+GRAPH_FIELDS = "graph header needs integer n=, vertices=, edges="
+CUT_FIELDS = "cut header needs integer n=, g=, size="
+
+
+@pytest.mark.parametrize(
+    "loader, doc, message",
+    [
+        (load_graph, "", NO_GRAPH_HEADER),
+        (load_graph, "0 1\n", NO_GRAPH_HEADER),
+        (load_graph, CUT_HEAD, NO_GRAPH_HEADER),
+        (load_graph, "# hl-graph n=1 vertices=two edges=1\n0 1\n", GRAPH_FIELDS),
+        (load_graph, "# hl-graph n=1 vertices=2\n0 1\n", GRAPH_FIELDS),
+        (load_graph, "# hl-graph n=2 vertices=3 edges=4\n", "header claims 3 vertices for dim 2"),
+        (load_graph, GRAPH_HEAD + "0 1 1\n", "malformed edge line: '0 1 1'"),
+        (load_graph, GRAPH_HEAD + "0 x\n", "invalid literal for int() with base 10: 'x'"),
+        (load_graph, GRAPH_HEAD + "0 2\n", "edge (0, 2) out of range or unordered"),
+        (load_graph, GRAPH_HEAD + "-1 1\n", "edge (-1, 1) out of range or unordered"),
+        (load_graph, GRAPH_HEAD + "1 0\n", "edge (1, 0) out of range or unordered"),
+        (load_graph, GRAPH_HEAD + "0 1\n0 1\n", "duplicate edge (0, 1)"),
+        (
+            load_graph,
+            "# hl-graph n=1 vertices=2 edges=2\n0 1\n",
+            "header claims 2 edges, found 1",
+        ),
+        (
+            load_graph,
+            "# hl-graph n=2 vertices=4 edges=2\n0 1\n2 3\n",
+            "vertex 0 has degree 1, expected 2",
+        ),
+        (
+            load_graph,
+            "# hl-graph n=2 vertices=4 edges=3\n0 1\n0 2\n1 3\n",
+            "vertex 2 has degree 1, expected 2",
+        ),
+        (load_cut, "", NO_CUT_HEADER),
+        (load_cut, GRAPH_HEAD, NO_CUT_HEADER),
+        (load_cut, "# hl-cut n=3 g=x size=1\n", CUT_FIELDS),
+        (load_cut, "# hl-cut n=3 size=1\n", CUT_FIELDS),
+        (load_cut, CUT_HEAD + "0\n", "malformed edge line: '0'"),
+        (load_cut, CUT_HEAD + "0 y\n", "invalid literal for int() with base 10: 'y'"),
+        (load_cut, CUT_HEAD + "1 0\n", "edge (1, 0) must be written with u < v"),
+        (load_cut, CUT_HEAD + "1 1\n", "edge (1, 1) must be written with u < v"),
+        (load_cut, "# hl-cut n=3 g=1 size=2\n0 1\n", "cut header claims 2 edges, found 1"),
+        # a repeated cut edge counts once
+        (load_cut, "# hl-cut n=3 g=1 size=2\n0 1\n0 1\n", "cut header claims 2 edges, found 1"),
+    ],
+)
+def test_edge_list_loader_error_messages(loader, doc, message):
+    with pytest.raises(ValueError) as exc:
+        loader(io.StringIO(doc))
+    assert str(exc.value) == message
+
+
+def test_edge_list_loaders_skip_blank_and_comment_lines():
+    graph = load_graph(io.StringIO("\n" + GRAPH_HEAD + "\n# note\n  0 1  \n"))
+    assert list(graph.edges()) == [(0, 1)]
+    cut = load_cut(io.StringIO(CUT_HEAD + "# note\n\n0 1\n"))
+    assert cut == ({(0, 1)}, 3, 1)
+
+
+@pytest.mark.parametrize(
+    "header, message",
+    [
+        ("n=-1 vertices=0 edges=0", "header claims 0 vertices for dim -1"),
+        ("n=-1 vertices=1 edges=0", "header claims 1 vertices for dim -1"),
+        # 1 << n would take 125 MB here
+        ("n=1000000000 vertices=2 edges=1", "header claims 2 vertices for dim 1000000000"),
+        ("n=40 vertices=1099511627776 edges=0", "vertex 0 has degree 0, expected 40"),
+    ],
+)
+def test_graph_header_dimension_costs_no_more_than_the_document(header, message):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError) as exc:
+            load_graph(io.StringIO(f"# hl-graph {header}\n"))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert str(exc.value) == message
+    assert peak < 1 << 20
+
+
+def test_graph_with_huge_claimed_dimension_reports_first_short_vertex():
+    doc = "# hl-graph n=40 vertices=1099511627776 edges=2\n0 1\n2 3\n"
+    with pytest.raises(ValueError, match=r"^vertex 0 has degree 1, expected 40$"):
+        load_graph(io.StringIO(doc))
