@@ -219,7 +219,7 @@ def _run_gen(args: argparse.Namespace):
     if args.graph_out:
         save_graph(materialize(recipe, max_dim=args.max_dim), args.graph_out)
     if not args.recipe_out and not args.graph_out:
-        save_recipe(recipe, sys.stdout)
+        save_recipe(recipe, args.out or sys.stdout)
 
 
 def _run_eg(args: argparse.Namespace):

@@ -14,12 +14,13 @@ wherever that value is exact (and an upper bound everywhere else).
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable
 
 from .formulas import binary_decomposition, extremal_edge_count
-from .recipes import Graph, Recipe, _read_edge_list, _write_document, split
+from .recipes import Graph, Recipe, _edge_set, _read_edge_list, _write_document, split
 
 
 @dataclass(frozen=True)
@@ -123,41 +124,50 @@ def verify_cut(
 ) -> CutReport:
     """Count components and isolated vertices of the graph minus the cut.
 
-    The traversal here is intentionally separate from the oracle module's
-    component search so the two can cross-check each other.
+    Each component grows by whole frontiers: the next frontier is the image
+    of the current one under every neighbor column, less the vertices seen
+    so far.  Only the endpoints of cut edges take a filtered neighbor list
+    instead.  Every vertex is visited.  The traversal here is intentionally
+    separate from the oracle module's component search so the two can
+    cross-check each other.
     """
-    gone = set()
-    for u, v in cut_edges:
-        e = (u, v) if u < v else (v, u)
-        if not graph.has_edge(*e):
-            raise ValueError(f"pair ({u}, {v}) is not an edge of the graph")
-        gone.add(e)
-    total = graph.vertex_count
-    comp = [-1] * total
-    sizes = []
-    for start in range(total):
-        if comp[start] >= 0:
+    gone = _edge_set(graph, cut_edges)
+    cut_at: defaultdict[int, set[int]] = defaultdict(set)
+    for u, v in gone:
+        cut_at[u].add(v)
+        cut_at[v].add(u)
+    kept = {
+        u: [col[u] for col in graph.columns if col[u] not in out]
+        for u, out in cut_at.items()
+    }
+    ends = set(kept)
+    seen: set[int] = set()
+    components = isolated = 0
+    for start in range(graph.vertex_count):
+        if start in seen:
             continue
-        cid = len(sizes)
-        comp[start] = cid
+        seen.add(start)
+        frontier = {start}
         size = 1
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in graph.neighbors(u):
-                if comp[w] >= 0:
-                    continue
-                if ((u, w) if u < w else (w, u)) in gone:
-                    continue
-                comp[w] = cid
-                size += 1
-                stack.append(w)
-        sizes.append(size)
+        while frontier:
+            grown: set[int] = set()
+            free = frontier - ends
+            for col in graph.columns:
+                grown.update(map(col.__getitem__, free))
+            for u in frontier & ends:
+                grown.update(kept[u])
+            grown -= seen
+            seen |= grown
+            size += len(grown)
+            frontier = grown
+        components += 1
+        if size == 1:
+            isolated += 1
     predicted = graph.n * target_g - extremal_edge_count(target_g)
     return CutReport(
         cut_size=len(gone),
-        component_count=len(sizes),
-        isolated_count=sum(1 for s in sizes if s == 1),
+        component_count=components,
+        isolated_count=isolated,
         predicted_size=predicted,
         matches_prediction=len(gone) == predicted,
     )

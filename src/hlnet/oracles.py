@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
-from .recipes import Graph, _write_document
+from .recipes import Graph, _edge_set, _write_document
 
 COMPLETE = "complete"
 INCOMPLETE = "incomplete"
@@ -121,11 +121,10 @@ def max_induced_edges(
 
     _check_search_depth(total)
     masks = graph.neighbor_masks()
-    maxdeg = max((len(graph.neighbors(v)) for v in range(total)), default=0)
     # gain_tail[c] bounds the edges gained by the remaining k - c picks
     gain_tail = [0] * (k + 1)
     for c in range(k - 1, -1, -1):
-        gain_tail[c] = gain_tail[c + 1] + min(c, maxdeg)
+        gain_tail[c] = gain_tail[c + 1] + min(c, graph.n)
 
     # the first k labels seed the incumbent; they are also the smallest
     # possible witness, so later strict improvements keep the tie-break
@@ -255,7 +254,7 @@ def components_after(
     Blocks come out ordered by their minimum label.  Raises if a removed
     pair is not an actual edge.
     """
-    gone = _normalize_edge_set(graph, removed)
+    gone = _edge_set(graph, removed)
     total = graph.vertex_count
     comp = [-1] * total
     blocks = []
@@ -281,40 +280,23 @@ def components_after(
     return PartitionWitness(tuple(blocks), cross)
 
 
-def _normalize_edge_set(
-    graph: Graph, edges: Iterable[tuple[int, int]]
-) -> set[tuple[int, int]]:
-    out = set()
-    for u, v in edges:
-        e = (u, v) if u < v else (v, u)
-        if not graph.has_edge(*e):
-            raise ValueError(f"pair ({u}, {v}) is not an edge of the graph")
-        out.add(e)
-    return out
-
-
 def isomorphic_small(a: Graph, b: Graph) -> bool:
     """Exact isomorphism test for graphs on at most 16 vertices.
 
     Backtracks over vertex maps in a connectivity-first order, pruning with
-    degree compatibility and adjacency-row consistency on bit masks.
+    adjacency-row consistency on bit masks.  Every Graph is n-regular, so
+    equal vertex and edge counts already make the degrees compatible.
     """
     va, vb = a.vertex_count, b.vertex_count
     if va > 16 or vb > 16:
         raise ValueError("isomorphic_small handles at most 16 vertices")
     if va != vb or a.edge_count != b.edge_count:
         return False
-    if sorted(map(len, (a.neighbors(v) for v in range(va)))) != sorted(
-        map(len, (b.neighbors(v) for v in range(vb)))
-    ):
-        return False
     if va == 0:
         return True
 
     amask = a.neighbor_masks()
     bmask = b.neighbor_masks()
-    adeg = [len(a.neighbors(v)) for v in range(va)]
-    bdeg = [len(b.neighbors(v)) for v in range(vb)]
 
     # visit each component of `a` in BFS order so every vertex after the
     # first has a mapped neighbor constraining its candidates
@@ -349,8 +331,6 @@ def isomorphic_small(a: Graph, b: Graph) -> bool:
             low = allowed & -allowed
             allowed ^= low
             cand = low.bit_length() - 1
-            if bdeg[cand] != adeg[v]:
-                continue
             # cand must see exactly the images of v's mapped neighbors
             if bmask[cand] & used != required:
                 continue

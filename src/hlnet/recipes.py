@@ -14,7 +14,8 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterable, Iterator
+from operator import itemgetter
+from typing import IO, Collection, Iterable, Iterator
 
 #: Default cap on materializable dimension (2^20 vertices).  Raise it per
 #: call if you really want bigger adjacency tables in memory.
@@ -222,97 +223,145 @@ def random_hl(n: int, seed: int, max_dim: int = MAX_DIM) -> Recipe:
 
 
 class Graph:
-    """Immutable graph on labels 0..2^n - 1 with per-vertex neighbor tuples."""
+    """Immutable n-regular graph on labels 0..2^n - 1, stored as n neighbor columns.
 
-    __slots__ = ("n", "_adj")
+    Vertex v's neighbors are ``columns[0][v], ..., columns[n-1][v]``.  In a
+    materialized network column d holds each vertex's level-d matching
+    partner; a graph built from rows keeps each row's order instead.  The
+    columns are shared by every query: never mutate them.
+    """
 
-    def __init__(self, n: int, adjacency: tuple[tuple[int, ...], ...]) -> None:
+    __slots__ = ("n", "vertex_count", "columns")
+
+    def __init__(self, n: int, rows: Iterable[Collection[int]]) -> None:
+        """Turn per-vertex neighbor rows into columns; every row must have n entries."""
+        checked = []
+        for v, row in enumerate(rows):
+            if len(row) != n:
+                raise ValueError(f"vertex {v} has degree {len(row)}, expected {n}")
+            checked.append(row)
+        # one shared int object per label, as in materialize; the lookup
+        # also rejects labels outside the graph
+        labels = range(len(checked))
+        label = dict(zip(labels, labels))
+        try:
+            columns = tuple(list(map(label.__getitem__, col)) for col in zip(*checked))
+        except KeyError as exc:
+            raise ValueError(
+                f"neighbor {exc.args[0]!r} outside 0..{len(checked) - 1}"
+            ) from None
         self.n = n
-        self._adj = adjacency
+        self.vertex_count = len(checked)
+        self.columns = columns
 
-    @property
-    def vertex_count(self) -> int:
-        return len(self._adj)
+    @classmethod
+    def _from_columns(cls, n: int, columns: Iterable[list[int]]) -> "Graph":
+        graph = cls.__new__(cls)
+        graph.n, graph.vertex_count, graph.columns = n, 1 << n, tuple(columns)
+        return graph
 
     @property
     def edge_count(self) -> int:
-        return sum(len(nb) for nb in self._adj) // 2
+        return self.n * self.vertex_count // 2
 
     def neighbors(self, v: int) -> tuple[int, ...]:
-        return self._adj[v]
+        """v's neighbors in increasing order."""
+        return tuple(sorted([col[v] for col in self.columns]))
 
     def degree(self, v: int) -> int:
-        return len(self._adj[v])
+        return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
         """True iff u and v are adjacent; out-of-range labels are never adjacent."""
-        return 0 <= u < len(self._adj) and v in self._adj[u]
+        return 0 <= u < self.vertex_count and any(col[u] == v for col in self.columns)
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Yield edges as (u, v) pairs with u < v, in sorted order."""
-        for u, nb in enumerate(self._adj):
-            for v in nb:
+        for u, row in enumerate(map(sorted, zip(*self.columns))):
+            for v in row:
                 if u < v:
                     yield (u, v)
 
     def neighbor_masks(self) -> list[int]:
         """Adjacency rows as bit masks.  Intended for small graphs only."""
-        masks = [0] * len(self._adj)
-        for u, nb in enumerate(self._adj):
-            m = 0
-            for v in nb:
-                m |= 1 << v
-            masks[u] = m
+        masks = [0] * self.vertex_count
+        for col in self.columns:
+            for u, v in enumerate(col):
+                masks[u] |= 1 << v
         return masks
 
     def is_connected(self) -> bool:
-        total = len(self._adj)
-        if total == 0:
+        if self.vertex_count == 0:
             return True
-        seen = bytearray(total)
-        seen[0] = 1
-        stack = [0]
-        count = 1
-        while stack:
-            u = stack.pop()
-            for v in self._adj[u]:
-                if not seen[v]:
-                    seen[v] = 1
-                    count += 1
-                    stack.append(v)
-        return count == total
+        seen = {0}
+        frontier = [0]
+        while frontier:
+            grown = set()
+            for col in self.columns:
+                grown.update(map(col.__getitem__, frontier))
+            grown -= seen
+            seen |= grown
+            frontier = grown
+        return len(seen) == self.vertex_count
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, vertices={self.vertex_count}, edges={self.edge_count})"
 
 
+def _edge_set(graph: Graph, pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
+    """The pairs as (low, high) edges; raises on a pair that is not an edge."""
+    edges = set()
+    for u, v in pairs:
+        e = (u, v) if u < v else (v, u)
+        if not graph.has_edge(*e):
+            raise ValueError(f"pair ({u}, {v}) is not an edge of the graph")
+        edges.add(e)
+    return edges
+
+
 def materialize(recipe: Recipe, max_dim: int = MAX_DIM) -> Graph:
     """Build the labelled graph a recipe describes.
 
-    Left halves take the lower label range at every level; node matchings
-    contribute the edges (offset + i, offset + half + matching[i]).
+    Left halves take the lower label range at every level; the matching of
+    the dim-(d+1) node at offset o puts the edge (o + i, o + 2^d + matching[i])
+    into column d.  Each column is filled by slice copies from one shared
+    label list.  Where every node of the level carries the same matching,
+    and it has no more entries than the level has nodes, one strided slice
+    pair per matching entry covers all nodes at once; otherwise each node
+    gets one contiguous slice pair, gathered through itemgetter.
     """
     if recipe.dim > max_dim:
         raise RecipeError(
             f"recipe dim {recipe.dim} exceeds guard max_dim={max_dim}"
         )
-    size = 1 << recipe.dim
-    neighbors: list[list[int]] = [[] for _ in range(size)]
-
-    def collect(r: Recipe, offset: int) -> None:
-        if r.is_leaf:
-            return
-        half = 1 << (r.dim - 1)
-        collect(r.left, offset)  # type: ignore[arg-type]
-        collect(r.right, offset + half)  # type: ignore[arg-type]
-        for i, m in enumerate(r.matching):  # type: ignore[union-attr]
-            u = offset + i
-            v = offset + half + m
-            neighbors[u].append(v)
-            neighbors[v].append(u)
-
-    collect(recipe, 0)
-    return Graph(recipe.dim, tuple(tuple(sorted(nb)) for nb in neighbors))
+    labels = list(range(1 << recipe.dim))
+    columns = []
+    # per matching object, so a subtree shared by many nodes builds them once
+    getters: dict[int, tuple[itemgetter, itemgetter]] = {}
+    nodes = [recipe]
+    for d in reversed(range(recipe.dim)):
+        half = 1 << d
+        step = 2 * half
+        col = [0] * len(labels)
+        first: tuple[int, ...] = nodes[0].matching  # type: ignore[assignment]
+        if half <= len(nodes) and all(r.matching == first for r in nodes):
+            for i, m in enumerate(first):
+                col[i::step] = labels[half + m :: step]
+                col[half + m :: step] = labels[i::step]
+        else:
+            for lo, r in zip(range(0, len(labels), step), nodes):
+                m: tuple[int, ...] = r.matching  # type: ignore[assignment]
+                if id(m) not in getters:
+                    inverse = sorted(range(half), key=m.__getitem__)
+                    getters[id(m)] = (itemgetter(*m), itemgetter(*inverse))
+                to_right, to_left = getters[id(m)]
+                mid = lo + half
+                col[lo:mid] = to_right(labels[mid : mid + half])
+                col[mid : mid + half] = to_left(labels[lo:mid])
+        columns.append(col)
+        if d:
+            nodes = [child for r in nodes for child in (r.left, r.right)]
+    return Graph._from_columns(recipe.dim, reversed(columns))
 
 
 def _check_vertices(graph: Graph, vertices: Iterable[int]) -> set[int]:
@@ -437,7 +486,7 @@ def _read_edge_list(
     ``keys`` in order, and a lazy iterator over its 'u v' pairs (blank and
     '#' lines skipped).  Range, order, duplicate and count checks are the
     loader's."""
-    lines = [ln.strip() for ln in _read_text(source).splitlines() if ln.strip()]
+    lines = [ln for ln in map(str.strip, _read_text(source).splitlines()) if ln]
     if not lines or not lines[0].startswith(f"# hl-{kind}"):
         raise ValueError(f"{kind} document must start with an '# hl-{kind}' header")
     fields = dict(part.split("=", 1) for part in lines[0].split() if "=" in part)
@@ -493,16 +542,14 @@ def load_graph(source: "str | Path | IO[str]") -> Graph:
     for u, v in pairs:
         if not (0 <= u < v < vertices):
             raise ValueError(f"edge ({u}, {v}) out of range or unordered")
-        if v in neighbors[u]:
+        row = neighbors[u]
+        if v in row:
             raise ValueError(f"duplicate edge ({u}, {v})")
-        neighbors[u].add(v)
+        row.add(v)
         neighbors[v].add(u)
         count += 1
     if count != edges:
         raise ValueError(f"header claims {edges} edges, found {count}")
-    # with n >= 1 the first vertex no edge touches ends this scan
-    for v in range(vertices):
-        degree = len(neighbors.get(v, ()))
-        if degree != n:
-            raise ValueError(f"vertex {v} has degree {degree}, expected {n}")
-    return Graph(n, tuple(tuple(sorted(neighbors[v])) for v in range(vertices)))
+    # Graph checks each row's degree as it comes, so with n >= 1 the first
+    # vertex no edge touches ends the scan
+    return Graph(n, (neighbors.get(v, ()) for v in range(vertices)))

@@ -274,6 +274,15 @@ def test_gen_writes_recipe_to_stdout(capsys):
     assert doc["dim"] == 2 and "node" in doc
 
 
+def test_gen_writes_recipe_to_out_instead_of_stdout(tmp_path, capsys):
+    main(["gen", "--n", "3", "--recipe", "random:seed=4"])
+    stdout_doc = capsys.readouterr().out
+    out = tmp_path / "x.txt"
+    assert main(["gen", "--n", "3", "--recipe", "random:seed=4", "--out", str(out)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == stdout_doc
+
+
 def test_recipe_seed_forms_agree(capsys):
     main(["gen", "--n", "4", "--recipe", "random:seed=7"])
     inline = capsys.readouterr().out

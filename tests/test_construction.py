@@ -1,8 +1,10 @@
 import io
+import random
 
 import pytest
 
 from hlnet import (
+    Graph,
     boundary_edges,
     build_component_cut,
     components_after,
@@ -11,9 +13,11 @@ from hlnet import (
     hypercube,
     induced_edge_count,
     load_cut,
+    load_graph,
     materialize,
     random_hl,
     save_cut,
+    save_graph,
     select_extremal_subgraph,
     verify_cut,
 )
@@ -192,6 +196,64 @@ def test_verify_two_adjacent_stars_cross_checked(q3):
     assert report.isolated_count == 2
     assert report.cut_size == 5
     assert report.matches_prediction  # 3*2 - e(2) = 5
+
+
+def relabelled(graph, seed):
+    """The graph under a random relabelling, built from rows, and the relabelling."""
+    perm = list(range(graph.vertex_count))
+    random.Random(seed).shuffle(perm)
+    rows = [[] for _ in perm]
+    for u, v in graph.edges():
+        rows[perm[u]].append(perm[v])
+        rows[perm[v]].append(perm[u])
+    return Graph(graph.n, rows), perm
+
+
+def reloaded(graph):
+    buf = io.StringIO()
+    save_graph(graph, buf)
+    buf.seek(0)
+    return load_graph(buf)
+
+
+def test_verify_and_components_after_agree_on_random_cuts():
+    """The frontier sweep and the oracle's row DFS count the same components,
+    on materialized graphs and on relabelled and loaded ones, whose columns
+    are not levels."""
+    several_large = 0
+    for n in range(1, 7):
+        for seed in range(3):
+            graph = materialize(random_hl(n, seed))
+            edges = list(graph.edges())
+            rng = random.Random(n * 100 + seed)
+            # the top k levels' matchings split the graph into 2^k subnetworks
+            cuts = [
+                {
+                    (v, col[v])
+                    for col in graph.columns[n - k :]
+                    for v in range(1 << n)
+                    if v < col[v]
+                }
+                for k in range(n + 1)
+            ]
+            cuts += [
+                {e for e in edges if rng.random() < p} for p in (0.1, 0.3, 0.5, 0.7)
+            ]
+            scrambled, perm = relabelled(graph, seed)
+            loaded = reloaded(graph)
+            for cut in cuts:
+                witness = components_after(graph, cut)
+                sizes = sorted(len(block) for block in witness.blocks)
+                several_large += sum(1 for s in sizes if s > 1) >= 2
+                moved = {(perm[u], perm[v]) for u, v in cut}
+                for g, c in ((graph, cut), (scrambled, moved), (loaded, cut)):
+                    report = verify_cut(g, c, 1)
+                    assert report.component_count == len(sizes)
+                    assert report.isolated_count == sizes.count(1)
+                    assert report.cut_size == len(cut)
+                    other = components_after(g, c)
+                    assert sorted(len(block) for block in other.blocks) == sizes
+    assert several_large > 20
 
 
 # --- cut files --------------------------------------------------------------

@@ -1,4 +1,5 @@
 import io
+import re
 import tracemalloc
 
 import pytest
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hlnet import (
+    Graph,
     Recipe,
     RecipeError,
     boundary_edges,
@@ -217,6 +219,87 @@ def test_left_half_projects_to_left_recipe():
     g = materialize(compose(left, right, m))
     half_edges = {(u, v) for u, v in g.edges() if u < 8 and v < 8}
     assert half_edges == set(materialize(left).edges())
+
+
+def reference_edges(recipe):
+    """Every (offset + i, offset + half + m) pair, by a direct recipe walk."""
+    edges = []
+
+    def walk(r, offset):
+        if r.is_leaf:
+            return
+        half = 1 << (r.dim - 1)
+        walk(r.left, offset)
+        walk(r.right, offset + half)
+        edges.extend((offset + i, offset + half + m) for i, m in enumerate(r.matching))
+
+    walk(recipe, 0)
+    return edges
+
+
+MATERIALIZE_CASES = (
+    [g84()]
+    + [hypercube(n) for n in range(9)]
+    + [random_hl(n, seed) for n in range(1, 10) for seed in range(4)]
+)
+
+
+@pytest.mark.parametrize("recipe", MATERIALIZE_CASES)
+def test_materialize_matches_reference_walk(recipe):
+    edges = reference_edges(recipe)
+    size = 1 << recipe.dim
+    rows = [[] for _ in range(size)]
+    for u, v in edges:
+        rows[u].append(v)
+        rows[v].append(u)
+    g = materialize(recipe)
+    assert g.vertex_count == size
+    assert [g.neighbors(v) for v in range(size)] == [tuple(sorted(r)) for r in rows]
+    assert list(g.edges()) == sorted(edges)
+    assert g.edge_count == len(edges)
+    assert g.is_connected()
+
+
+def test_materialize_leaf_is_one_vertex_without_edges():
+    g = materialize(leaf())
+    assert (g.vertex_count, g.edge_count) == (1, 0)
+    assert g.neighbors(0) == () and list(g.edges()) == []
+    assert g.is_connected()
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_hypercube_column_d_flips_bit_d(n):
+    g = materialize(hypercube(n))
+    for d, col in enumerate(g.columns):
+        assert col == [v ^ (1 << d) for v in range(1 << n)]
+    for v in range(1 << n):
+        assert g.neighbors(v) == tuple(sorted(v ^ (1 << d) for d in range(n)))
+
+
+def test_graph_rows_become_columns():
+    # two disjoint 4-cycles: regular, but not connected
+    rows = [(1, 2), (0, 3), (0, 3), (1, 2), (5, 6), (4, 7), (4, 7), (5, 6)]
+    g = Graph(2, rows)
+    assert [g.neighbors(v) for v in range(8)] == rows
+    assert list(g.edges()) == [(0, 1), (0, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 7), (6, 7)]
+    assert g.edge_count == 8
+    assert not g.is_connected()
+    assert not g.has_edge(8, 0) and not g.has_edge(-1, 6)
+
+
+@pytest.mark.parametrize(
+    "rows, message",
+    [
+        ([(1,), (0, 1)], "vertex 0 has degree 1, expected 2"),
+        ([(1, 2), (0,), (0, 1)], "vertex 1 has degree 1, expected 2"),
+        ([(1, 2), (0, 3), (0, 3), (1, 2, 0)], "vertex 3 has degree 3, expected 2"),
+        ([(1, 2), (0, 3), (0, 4), (1, 2)], "neighbor 4 outside 0..3"),
+        ([(1, -1), (0, 3), (0, 3), (1, 2)], "neighbor -1 outside 0..3"),
+    ],
+)
+def test_graph_rejects_bad_rows(rows, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Graph(2, rows)
 
 
 def test_materialize_guard():
