@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -181,11 +182,9 @@ def save_cut(
 ) -> None:
     """Write a cut as an edge list under an '# hl-cut' header."""
     ordered = sorted((u, v) if u < v else (v, u) for u, v in edges)
-    _write_document(
-        destination,
-        f"# hl-cut n={n} g={g} size={len(ordered)}",
-        (f"{u} {v}" for u, v in ordered),
-    )
+    header = f"# hl-cut n={n} g={g} size={len(ordered)}\n"
+    lines = (f"{u} {v}\n" for u, v in ordered)
+    _write_document(destination, chain([header], lines))
 
 
 def load_cut(source: "str | Path | IO[str]") -> tuple[set[tuple[int, int]], int, int]:

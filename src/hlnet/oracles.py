@@ -18,6 +18,7 @@ from __future__ import annotations
 import sys
 import time
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
@@ -347,8 +348,6 @@ def save_partition(
     witness: PartitionWitness, destination: "str | Path | IO[str]"
 ) -> None:
     """Write a witness as text: header, then one block per line."""
-    _write_document(
-        destination,
-        f"# partition blocks={len(witness.blocks)} cross={len(witness.cross_edges)}",
-        (" ".join(str(v) for v in block) for block in witness.blocks),
-    )
+    header = f"# partition blocks={len(witness.blocks)} cross={len(witness.cross_edges)}\n"
+    lines = (" ".join(str(v) for v in block) + "\n" for block in witness.blocks)
+    _write_document(destination, chain([header], lines))

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import chain
 from pathlib import Path
 from operator import itemgetter
 from typing import IO, Collection, Iterable, Iterator
@@ -406,19 +407,6 @@ def boundary_edges(graph: Graph, vertices: Iterable[int]) -> set[tuple[int, int]
 # nodes, matchings given as local right-half indices.
 
 
-def recipe_to_obj(recipe: Recipe) -> dict:
-    if recipe.is_leaf:
-        return {"dim": 0, "leaf": True}
-    return {
-        "dim": recipe.dim,
-        "node": {
-            "left": recipe_to_obj(recipe.left),  # type: ignore[arg-type]
-            "right": recipe_to_obj(recipe.right),  # type: ignore[arg-type]
-            "matching": list(recipe.matching),  # type: ignore[arg-type]
-        },
-    }
-
-
 def _recipe_from_obj(obj: object, path: str) -> Recipe:
     if not isinstance(obj, dict):
         raise RecipeError(f"{path}: expected an object, got {type(obj).__name__}")
@@ -450,27 +438,62 @@ def _recipe_from_obj(obj: object, path: str) -> Recipe:
         raise RecipeError(f"{path}.node.matching: {exc}") from None
 
 
+def _recipe_chunks(recipe: Recipe) -> Iterator[str]:
+    """Yield the recipe document in pieces: byte for byte the text of
+    ``json.dumps(document, indent=2)`` plus a final newline.
+
+    Each matching is one piece with its entries one per line, printed by
+    ``int.__repr__`` as ``json`` prints them.  The walk keeps an explicit
+    stack, so each piece passes through one generator frame.
+    """
+    stack: list = [(recipe, "")]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            yield item
+            continue
+        node, pad = item
+        if node.left is None:
+            yield f'{{\n{pad}  "dim": 0,\n{pad}  "leaf": true\n{pad}}}'
+            continue
+        inner = pad + "    "
+        yield (
+            f'{{\n{pad}  "dim": {int.__repr__(node.dim)},\n'
+            f'{pad}  "node": {{\n{inner}"left": '
+        )
+        stack += (
+            f"\n{inner}]\n{pad}  }}\n{pad}}}",
+            (",\n" + inner + "  ").join(map(int.__repr__, node.matching)),
+            f',\n{inner}"matching": [\n{inner}  ',
+            (node.right, inner),
+            f',\n{inner}"right": ',
+            (node.left, inner),
+        )
+    yield "\n"
+
+
 def dumps_recipe(recipe: Recipe) -> str:
-    return json.dumps(recipe_to_obj(recipe), indent=2) + "\n"
+    return "".join(_recipe_chunks(recipe))
 
 
 def loads_recipe(text: str) -> Recipe:
     try:
         obj = json.loads(text)
+        return _recipe_from_obj(obj, "$")
     except json.JSONDecodeError as exc:
         raise RecipeError(f"malformed recipe document: {exc}") from None
-    return _recipe_from_obj(obj, "$")
+    except RecursionError:
+        raise RecipeError("malformed recipe document: nested too deeply") from None
 
 
-def _write_document(
-    destination: "str | Path | IO[str]", header: str, lines: Iterable[str] = ()
-) -> None:
-    """Write the header and then each line, newline-terminated, to a path or stream."""
-    text = "\n".join([header, *lines]) + "\n"
+def _write_document(destination: "str | Path | IO[str]", pieces: Iterable[str]) -> None:
+    """Write the text pieces in order to a path or an open stream, one at a
+    time, so the whole document never exists as one string."""
     if hasattr(destination, "write"):
-        destination.write(text)  # type: ignore[union-attr]
+        destination.writelines(pieces)  # type: ignore[union-attr]
     else:
-        Path(destination).write_text(text)  # type: ignore[arg-type]
+        with open(destination, "w") as stream:
+            stream.writelines(pieces)
 
 
 def _read_text(source: "str | Path | IO[str]") -> str:
@@ -509,7 +532,7 @@ def _read_edge_list(
 
 
 def save_recipe(recipe: Recipe, destination: "str | Path | IO[str]") -> None:
-    _write_document(destination, json.dumps(recipe_to_obj(recipe), indent=2))
+    _write_document(destination, _recipe_chunks(recipe))
 
 
 def load_recipe(source: "str | Path | IO[str]") -> Recipe:
@@ -518,11 +541,9 @@ def load_recipe(source: "str | Path | IO[str]") -> Recipe:
 
 def save_graph(graph: Graph, destination: "str | Path | IO[str]") -> None:
     """Write the plain-text edge list with its counting header."""
-    _write_document(
-        destination,
-        f"# hl-graph n={graph.n} vertices={graph.vertex_count} edges={graph.edge_count}",
-        (f"{u} {v}" for u, v in graph.edges()),
-    )
+    header = f"# hl-graph n={graph.n} vertices={graph.vertex_count} edges={graph.edge_count}\n"
+    lines = (f"{u} {v}\n" for u, v in graph.edges())
+    _write_document(destination, chain([header], lines))
 
 
 def load_graph(source: "str | Path | IO[str]") -> Graph:

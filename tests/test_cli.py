@@ -330,3 +330,12 @@ def test_verify_rejects_bad_graph_header(header, message, tmp_path, capsys):
     cut_path.write_text("# hl-cut n=1 g=1 size=1\n0 1\n")
     assert main(["verify", "--graph", str(graph_path), "--cut", str(cut_path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cut_rejects_recipe_document_nested_too_deeply(deep_recipe_doc, tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text(deep_recipe_doc)
+    assert main(["cut", "--recipe", f"file:{path}", "--g", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: malformed recipe document: nested too deeply\n"

@@ -1,4 +1,5 @@
 import io
+import json
 import re
 import tracemalloc
 
@@ -369,6 +370,84 @@ def test_recipe_round_trip_stream():
     buf = io.StringIO()
     save_recipe(g84(), buf)
     assert loads_recipe(buf.getvalue()) == g84()
+
+
+class _LoudInt(int):
+    """An int that prints differently from int: json prints it via int.__repr__."""
+
+    def __repr__(self):
+        return f"LoudInt({int(self)})"
+
+    __str__ = __repr__
+
+
+def _reference_obj(recipe):
+    if recipe.is_leaf:
+        return {"dim": 0, "leaf": True}
+    left, right, matching = split(recipe)
+    return {
+        "dim": recipe.dim,
+        "node": {
+            "left": _reference_obj(left),
+            "right": _reference_obj(right),
+            "matching": list(matching),
+        },
+    }
+
+
+_LOUD = compose(
+    compose(leaf(), leaf(), [_LoudInt(0)]),
+    compose(leaf(), leaf(), [0]),
+    [_LoudInt(1), _LoudInt(0)],
+)
+
+
+@pytest.mark.parametrize("recipe", [leaf(), _LOUD] + MATERIALIZE_CASES)
+def test_recipe_document_is_the_stdlib_indent2_text(recipe, tmp_path):
+    expected = json.dumps(_reference_obj(recipe), indent=2) + "\n"
+    assert dumps_recipe(recipe) == expected
+    path = tmp_path / "r.json"
+    save_recipe(recipe, path)
+    assert path.read_bytes() == expected.encode()
+    buf = io.StringIO()
+    save_recipe(recipe, buf)
+    assert buf.getvalue() == expected
+
+
+def test_loud_int_recipe_keeps_its_int_subclass():
+    assert type(split(_LOUD)[2][0]) is _LoudInt
+    assert "Loud" not in dumps_recipe(_LOUD)
+
+
+def _traced_peak(write):
+    tracemalloc.start()
+    try:
+        write()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_save_recipe_streams_the_document(tmp_path):
+    recipe = random_hl(12, 0)
+    path = tmp_path / "r12.json"
+    peak = _traced_peak(lambda: save_recipe(recipe, path))
+    assert path.stat().st_size > 3_000_000
+    assert peak < 1 << 20
+
+
+def test_save_graph_streams_the_document(tmp_path):
+    graph = materialize(random_hl(12, 0))
+    path = tmp_path / "g12.edges"
+    peak = _traced_peak(lambda: save_graph(graph, path))
+    assert path.stat().st_size > 200_000
+    assert peak < 1 << 20
+
+
+def test_load_rejects_documents_nested_too_deeply(deep_recipe_doc):
+    with pytest.raises(RecipeError) as exc:
+        loads_recipe(deep_recipe_doc)
+    assert str(exc.value) == "malformed recipe document: nested too deeply"
 
 
 _K2_DOC = (
