@@ -156,7 +156,7 @@ def _resolve_recipe(args: argparse.Namespace) -> tuple[Recipe, int]:
     if source.startswith("random:"):
         name, _, tail = source.partition(":")
         key, _, value = tail.partition("=")
-        if key != "seed" or not value.lstrip("-").isdigit():
+        if key != "seed" or not value.removeprefix("-").isdecimal():
             raise ValueError(f"cannot parse {source!r}; use random:seed=INT")
         seed = int(value)
     if name not in ("hypercube", "random"):

@@ -16,7 +16,8 @@ the cut construction never needs the window.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from operator import eq, ge, gt, le, sub
+from typing import Callable, Iterable, NamedTuple
 
 
 def binary_decomposition(g: int) -> tuple[int, ...]:
@@ -147,10 +148,6 @@ class PropertyCheck:
     rhs: "int | None" = None
 
 
-def _edge_count_table(limit: int) -> list[int]:
-    return [extremal_edge_count(g) for g in range(limit + 1)]
-
-
 def run_property_suite(
     g_max: int = 4096,
     slack_n_max: int = 24,
@@ -172,78 +169,55 @@ def run_property_suite(
             f"increment_max={increment_max}, slack_n_max={slack_n_max}, "
             f"monotone_n_max={monotone_n_max}"
         )
-    table = _edge_count_table(max(g_max, increment_max) + 1)
-    results = []
+    table = [extremal_edge_count(g) for g in range(max(g_max, increment_max) + 2)]
 
-    cases = 0
-    failure = None
-    for g0 in range(1, g_max // 2 + 1):
-        base = table[g0] + g0
-        for g1 in range(g0, g_max - g0 + 1):
-            cases += 1
-            if table[g0 + g1] < base + table[g1]:
-                failure = (f"(g0={g0}, g1={g1})", table[g0 + g1], base + table[g1])
-                break
-        if failure:
-            break
-    results.append(_check_result("superadditive", cases, failure))
+    def slack_row(n: int) -> tuple:
+        top = min(1 << (n - 2), g_max)
+        lhs = [(n - 2) * g for g in range(1, top + 1)]
+        return f"n={n}, g=", 1, lhs, [2 * t for t in table[1 : top + 1]]
 
-    cases = 0
-    failure = None
-    for i in range(1, g_max // 2 + 1):
-        lhs_base = table[i + 1]
-        for j in range(i, g_max - i + 1):
-            cases += 1
-            if lhs_base + table[j] > table[i + j]:
-                failure = (f"(i={i}, j={j})", lhs_base + table[j], table[i + j])
-                break
-        if failure:
-            break
-    results.append(_check_result("merge", cases, failure))
+    def monotone_row(n: int) -> tuple:
+        # value[g] = n*g - e(g); case g compares value[g + 1] with value[g]
+        top = min((1 << ((n + 1) // 2)) - 1, g_max)
+        value = [n * g - t for g, t in enumerate(table[: top + 2])]
+        return f"n={n}, g=", 1, value[2:], value[1:-1]
 
-    cases = 0
-    failure = None
-    for i in range(1, increment_max + 1):
-        cases += 1
-        step = extremal_edge_increment(i)
-        if table[i + 1] - table[i] != step:
-            failure = (f"(i={i})", table[i + 1] - table[i], step)
-            break
-    results.append(_check_result("increment", cases, failure))
-
-    cases = 0
-    failure = None
-    for n in range(2, slack_n_max + 1):
-        for g in range(1, min(1 << (n - 2), g_max) + 1):
-            cases += 1
-            if (n - 2) * g - 2 * table[g] < 0:
-                failure = (f"(n={n}, g={g})", (n - 2) * g, 2 * table[g])
-                break
-        if failure:
-            break
-    results.append(_check_result("slack", cases, failure))
-
-    cases = 0
-    failure = None
-    for n in range(2, monotone_n_max + 1):
-        for g in range(1, min((1 << ((n + 1) // 2)) - 1, g_max) + 1):
-            cases += 1
-            lhs = n * (g + 1) - table[g + 1]
-            rhs = n * g - table[g]
-            if lhs <= rhs:
-                failure = (f"(n={n}, g={g})", lhs, rhs)
-                break
-        if failure:
-            break
-    results.append(_check_result("monotone", cases, failure))
-
-    return results
+    superadditive = (
+        (f"g0={g0}, g1=", g0, table[2 * g0 : g_max + 1],
+         [table[g0] + g0 + t for t in table[g0 : g_max - g0 + 1]])
+        for g0 in range(1, g_max // 2 + 1)
+    )
+    merge = (
+        (f"i={i}, j=", i, [table[i + 1] + t for t in table[i : g_max - i + 1]],
+         table[2 * i : g_max + 1])
+        for i in range(1, g_max // 2 + 1)
+    )
+    increment = [(
+        "i=", 1, list(map(sub, table[2 : increment_max + 2], table[1 : increment_max + 1])),
+        list(map(extremal_edge_increment, range(1, increment_max + 1))),
+    )]
+    return [
+        _sweep("superadditive", ge, superadditive),
+        _sweep("merge", le, merge),
+        _sweep("increment", eq, increment),
+        _sweep("slack", ge, map(slack_row, range(2, slack_n_max + 1))),
+        _sweep("monotone", gt, map(monotone_row, range(2, monotone_n_max + 1))),
+    ]
 
 
-def _check_result(
-    name: str, cases: int, failure: "tuple[str, int, int] | None"
+def _sweep(
+    name: str, holds: Callable[[int, int], bool], rows: Iterable[tuple]
 ) -> PropertyCheck:
-    if failure is None:
-        return PropertyCheck(name, cases, True)
-    witness, lhs, rhs = failure
-    return PropertyCheck(name, cases, False, witness, lhs, rhs)
+    """Check holds(lhs[k], rhs[k]) row by row and stop at the first failure.
+
+    Each row is (head, first, lhs, rhs): the two sides of a run of cases as
+    aligned lists, where case k has the witness f"({head}{first + k})".
+    """
+    cases = 0
+    for head, first, lhs, rhs in rows:
+        if not all(map(holds, lhs, rhs)):
+            k = list(map(holds, lhs, rhs)).index(False)
+            witness = f"({head}{first + k})"
+            return PropertyCheck(name, cases + k + 1, False, witness, lhs[k], rhs[k])
+        cases += len(lhs)
+    return PropertyCheck(name, cases, True)

@@ -196,7 +196,7 @@ def min_component_edge_cut(
     # restricted-growth string with the right block count
     for v in range(total):
         assign[v] = max(0, parts - (total - v))
-    best = _cross_edge_count(graph, assign)
+    best = sum(1 for u, v in graph.edges() if assign[u] != assign[v])
     best_assign = assign.copy()
     budget = _Budget(limits)
 
@@ -233,10 +233,6 @@ def min_component_edge_cut(
     dfs(0, 0, 0)
     witness = _partition_witness(graph, best_assign, parts)
     return MinCutResult(best, witness, INCOMPLETE if budget.exhausted else COMPLETE)
-
-
-def _cross_edge_count(graph: Graph, assign: list[int]) -> int:
-    return sum(1 for u, v in graph.edges() if assign[u] != assign[v])
 
 
 def _partition_witness(graph: Graph, assign: list[int], parts: int) -> PartitionWitness:

@@ -74,12 +74,6 @@ class Recipe:
     def is_leaf(self) -> bool:
         return self.left is None
 
-    def vertex_count(self) -> int:
-        return 1 << self.dim
-
-    def edge_count(self) -> int:
-        return self.dim << (self.dim - 1) if self.dim else 0
-
 
 def _check_permutation(matching: tuple[int, ...], size: int) -> None:
     if len(matching) != size:
@@ -168,33 +162,20 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-class _SplitMix64:
-    __slots__ = ("_state",)
-
-    def __init__(self, seed: int) -> None:
-        self._state = seed & _MASK64
-
-    def next64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return _mix64(self._state)
-
-    def below(self, bound: int) -> int:
-        # rejection sampling keeps the draw exactly uniform
-        limit = (_MASK64 + 1) - (_MASK64 + 1) % bound
-        while True:
-            v = self.next64()
-            if v < limit:
-                return v % bound
-
-
-def _substream(seed: int, position: int) -> _SplitMix64:
-    return _SplitMix64(_mix64(seed & _MASK64) ^ _mix64(position * _GOLDEN))
-
-
-def _random_permutation(size: int, rng: _SplitMix64) -> tuple[int, ...]:
+def _random_permutation(size: int, seed: int, position: int) -> tuple[int, ...]:
+    """Fisher-Yates shuffle of range(size) drawn from the SplitMix64 substream
+    of (seed, position).  Each draw below a bound rejects the top
+    2^64 mod bound outputs, which keeps it exactly uniform."""
+    state = _mix64(seed & _MASK64) ^ _mix64(position * _GOLDEN)
     perm = list(range(size))
     for i in range(size - 1, 0, -1):
-        j = rng.below(i + 1)
+        limit = (_MASK64 + 1) - (_MASK64 + 1) % (i + 1)
+        while True:
+            state = (state + _GOLDEN) & _MASK64
+            v = _mix64(state)
+            if v < limit:
+                break
+        j = v % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
     return tuple(perm)
 
@@ -213,7 +194,7 @@ def random_hl(n: int, seed: int, max_dim: int = MAX_DIM) -> Recipe:
             return _LEAF
         left = build(dim - 1, 2 * position)
         right = build(dim - 1, 2 * position + 1)
-        perm = _random_permutation(1 << (dim - 1), _substream(seed, position))
+        perm = _random_permutation(1 << (dim - 1), seed, position)
         return Recipe(dim, left, right, perm)
 
     return build(n, 1)
@@ -268,9 +249,6 @@ class Graph:
     def neighbors(self, v: int) -> tuple[int, ...]:
         """v's neighbors in increasing order."""
         return tuple(sorted([col[v] for col in self.columns]))
-
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
 
     def has_edge(self, u: int, v: int) -> bool:
         """True iff u and v are adjacent; out-of-range labels are never adjacent."""

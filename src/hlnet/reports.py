@@ -37,17 +37,12 @@ class ReportRow:
         return self.formula_value == self.construction_value
 
 
-def rows_to_dicts(rows) -> list[dict]:
-    return [asdict(r) if isinstance(r, ReportRow) else dict(r) for r in rows]
-
-
-def emit_report(rows, fmt: str, columns: "list[str] | None" = None) -> str:
+def emit_report(rows, fmt: str) -> str:
     """Serialize rows (ReportRow or uniform dicts) to one of FORMATS."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
-    dicts = rows_to_dicts(rows)
-    if columns is None:
-        columns = list(dicts[0]) if dicts else list(ReportRow.__dataclass_fields__)
+    dicts = [asdict(r) if isinstance(r, ReportRow) else dict(r) for r in rows]
+    columns = list(dicts[0]) if dicts else list(ReportRow.__dataclass_fields__)
     if fmt == "json":
         return json.dumps(dicts, indent=2) + "\n"
     if fmt == "csv":

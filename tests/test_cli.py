@@ -291,6 +291,21 @@ def test_recipe_seed_forms_agree(capsys):
     assert inline == flagged
 
 
+@pytest.mark.parametrize("seed", ["--5", "\u00b2", "", "-", "5x"])
+def test_unparsable_recipe_seed_is_a_usage_error(seed, capsys):
+    assert main(["gen", "--n", "2", "--recipe", f"random:seed={seed}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: cannot parse 'random:seed={seed}'; use random:seed=INT\n"
+    )
+
+
+def test_negative_recipe_seed_is_accepted(capsys):
+    assert main(["gen", "--n", "2", "--recipe", "random:seed=-5"]) == 0
+    assert json.loads(capsys.readouterr().out)["dim"] == 2
+
+
 def test_suite_rejects_vacuous_ranges(capsys):
     argv = ["suite", "--g-max", "0", "--i-max", "0", "--n-max", "1", "--n-max-mono", "1"]
     assert main(argv) == 2

@@ -1,8 +1,12 @@
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import hlnet.formulas
 from hlnet import (
+    PropertyCheck,
     binary_decomposition,
     check_merge,
     check_slack,
@@ -216,3 +220,89 @@ def test_property_suite_rejects_ranges_with_an_empty_check(ranges):
     full = {"g_max": 2, "slack_n_max": 2, "increment_max": 1, "monotone_n_max": 2}
     with pytest.raises(ValueError, match="^every check needs a case: "):
         run_property_suite(**{**full, **ranges})
+
+
+# The suite's failure path.  Each case moves e(g) by delta for start <= g <
+# stop, which makes the named check fail first in the given row (first
+# coordinate of the witness) of these ranges; the expected results come from
+# a plain loop over the public predicates, which read the moved e as well.
+FAILURE_RANGES = {"g_max": 17, "slack_n_max": 6, "increment_max": 16, "monotone_n_max": 9}
+
+
+def _reference_suite(g_max, slack_n_max, increment_max, monotone_n_max):
+    e = hlnet.formulas.extremal_edge_count
+
+    def sweep(name, cases):
+        count = 0
+        for witness, ok, lhs, rhs in cases:
+            count += 1
+            if not ok:
+                return PropertyCheck(name, count, False, witness, lhs, rhs)
+        return PropertyCheck(name, count, True)
+
+    superadditive = (
+        (f"(g0={a}, g1={b})", check_superadditive(a, b), e(a + b), e(a) + e(b) + a)
+        for a in range(1, g_max // 2 + 1)
+        for b in range(a, g_max - a + 1)
+    )
+    merge = (
+        (f"(i={i}, j={j})", check_merge(i, j), e(i + 1) + e(j), e(i + j))
+        for i in range(1, g_max // 2 + 1)
+        for j in range(i, g_max - i + 1)
+    )
+    increment = (
+        (f"(i={i})", e(i + 1) - e(i) == extremal_edge_increment(i),
+         e(i + 1) - e(i), extremal_edge_increment(i))
+        for i in range(1, increment_max + 1)
+    )
+    slack = (
+        (f"(n={n}, g={g})", check_slack(n, g), (n - 2) * g, 2 * e(g))
+        for n in range(2, slack_n_max + 1)
+        for g in range(1, min(1 << (n - 2), g_max) + 1)
+    )
+    monotone = (
+        (f"(n={n}, g={g})", check_strict_increase(n, g),
+         n * (g + 1) - e(g + 1), n * g - e(g))
+        for n in range(2, monotone_n_max + 1)
+        for g in range(1, min((1 << ((n + 1) // 2)) - 1, g_max) + 1)
+    )
+    return [
+        sweep("superadditive", superadditive),
+        sweep("merge", merge),
+        sweep("increment", increment),
+        sweep("slack", slack),
+        sweep("monotone", monotone),
+    ]
+
+
+@pytest.mark.parametrize(
+    "name, row, start, stop, delta",
+    [
+        ("superadditive", 1, 1, 2, 1),
+        ("superadditive", 2, 3, 4, 1),
+        ("superadditive", 8, 9, 10, 1),
+        ("merge", 1, 1, 2, 1),
+        ("merge", 2, 3, 4, 1),
+        ("merge", 8, 9, 18, 8),
+        # increment is one row; these are its first, a middle and its last case
+        ("increment", 1, 1, 2, 1),
+        ("increment", 8, 9, 10, 1),
+        ("increment", 16, 17, 18, 1),
+        ("slack", 2, 1, 2, 1),
+        ("slack", 3, 2, 3, 1),
+        ("slack", 6, 16, 17, 1),
+        ("monotone", 2, 1, 2, -1),
+        ("monotone", 3, 3, 4, -1),
+        ("monotone", 9, 16, 17, -8),
+    ],
+)
+def test_property_suite_reports_the_first_failure(name, row, start, stop, delta, monkeypatch):
+    def moved(g, e=extremal_edge_count):
+        return e(g) + (delta if start <= g < stop else 0)
+
+    monkeypatch.setattr(hlnet.formulas, "extremal_edge_count", moved)
+    expected = _reference_suite(**FAILURE_RANGES)
+    failed = next(c for c in expected if c.name == name)
+    assert not failed.passed
+    assert int(re.match(r"\(\w+=(\d+)", failed.witness)[1]) == row
+    assert run_property_suite(**FAILURE_RANGES) == expected

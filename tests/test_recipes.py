@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import re
@@ -51,6 +52,21 @@ def two_color(graph):
                 elif color[w] == color[u]:
                     return False
     return True
+
+
+def is_simple_regular(graph, n):
+    """True iff every vertex has n distinct neighbors, none of them itself,
+    and w is a neighbor of v exactly when v is a neighbor of w."""
+    rows = [graph.neighbors(v) for v in range(graph.vertex_count)]
+    return all(
+        len(set(row)) == n and v not in row and all(v in rows[w] for w in row)
+        for v, row in enumerate(rows)
+    )
+
+
+def test_is_simple_regular_rejects_a_self_loop():
+    assert not is_simple_regular(Graph(1, [[0], [0]]), 1)
+    assert is_simple_regular(Graph(1, [[1], [0]]), 1)
 
 
 # --- compose / split ------------------------------------------------------
@@ -130,13 +146,13 @@ def test_hypercube_zero_is_single_vertex():
 def test_hypercube_two_is_a_4_cycle():
     g = materialize(hypercube(2))
     assert g.vertex_count == 4 and g.edge_count == 4
-    assert all(g.degree(v) == 2 for v in range(4))
+    assert is_simple_regular(g, 2)
     assert g.is_connected()
 
 
 def test_hypercube_three_counts_and_bipartite(q3):
     assert q3.vertex_count == 8 and q3.edge_count == 12
-    assert all(q3.degree(v) == 3 for v in range(8))
+    assert is_simple_regular(q3, 3)
     assert two_color(q3)
 
 
@@ -161,7 +177,7 @@ def test_hypercube_guard():
 def test_g84_counts_and_odd_cycle(q3):
     g = G84
     assert g.vertex_count == 8 and g.edge_count == 12
-    assert all(g.degree(v) == 3 for v in range(8))
+    assert is_simple_regular(g, 3)
     assert not two_color(g)
     assert not isomorphic_small(g, q3)
 
@@ -170,7 +186,7 @@ def test_g84_counts_and_odd_cycle(q3):
 def test_random_hl_dim3_invariants(seed):
     g = materialize(random_hl(3, seed))
     assert g.vertex_count == 8 and g.edge_count == 12
-    assert all(g.degree(v) == 3 for v in range(8))
+    assert is_simple_regular(g, 3)
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -193,6 +209,73 @@ def test_random_hl_seeds_differ():
     assert len(recipes) > 1
 
 
+# sha256 of dumps_recipe(random_hl(n, seed)) for seeds 0, 1, 7 and 2**64 - 1;
+# the generator reduces seeds modulo 2^64, so -1 must give the last digest
+RANDOM_HL_DIGESTS = {
+    1: (
+        "2096e2a73fd300acb6d760937d754e2337539028ae710f1517e6c7070ffb2d48",
+        "2096e2a73fd300acb6d760937d754e2337539028ae710f1517e6c7070ffb2d48",
+        "2096e2a73fd300acb6d760937d754e2337539028ae710f1517e6c7070ffb2d48",
+        "2096e2a73fd300acb6d760937d754e2337539028ae710f1517e6c7070ffb2d48",
+    ),
+    2: (
+        "d40e34c7fb7d72313b5c797ee506b6904bb74cb9f162423b4690184437ad52ff",
+        "617ff1f5582e8b8e9cf75b7d09bbdff7a05e4f30520daaf9a3c3b56d9abe70ac",
+        "d40e34c7fb7d72313b5c797ee506b6904bb74cb9f162423b4690184437ad52ff",
+        "d40e34c7fb7d72313b5c797ee506b6904bb74cb9f162423b4690184437ad52ff",
+    ),
+    3: (
+        "7ccae70aaf11df53ede16ce46e0fbe89e9977961ae2947a5ee0b3385aa9074e0",
+        "f91bc3c0e7b086ddcedbf385bdb6fc967a24e0717e54ae786cc5e1ac8b14f76d",
+        "4c530c562eb5b9c32385797fa27b8b59697f0712358bf9725d8cd87c9c7e4c79",
+        "9c3d9bb97d4447dfb4e05887cc98e1725d3bec81424e6ef66ed89eb7184fcbdc",
+    ),
+    4: (
+        "8992b15518e52edc0b789ec004d4123c3e45f80a1a4a99ae2b733d80104d3695",
+        "f21575378a79bfeb62208827779ada7fe89674999b235559b40354350086611e",
+        "397d3375444ec3d05b128e301b506d26c34c5bcdaa99b62e392b6f9663189185",
+        "b8b83e184b06265c6bbd88f0dc9f05f48052a31e9347a466db91bca02f3a0bf8",
+    ),
+    5: (
+        "7ecf1bfae41cff4a8d159d636bac740a6b46c2b29a9b3b4459e1b2439d5a16de",
+        "e9375835f4ea880237fb7f859b5b3586326798f87ee4db8addb5329aeed757c3",
+        "edce415ec083c116b9487b0e2ef62a83cedfa31b8083064fc0acdcf8a771a830",
+        "b8af2346a6ebb9147e1b987843784aa5417977612d26304c9a5ded638c973d4d",
+    ),
+    6: (
+        "74909bc0897205b1ae52667d9707142d22327d9bf1120ad63797489048556719",
+        "1bcea8bfb6f91ab5284990065243140ddfa986e9e4583d92ffb2730717ec7993",
+        "ef8558aed887b76c7b8e3069426595151bf2a9ccdf0b589516fd063fc08af298",
+        "db8c6f85c640b2148e286815d5996e0fe301fa4d1f7ee7c05873d50494198646",
+    ),
+    7: (
+        "1fae34dc2db6eba77486870c49a2a97fae3b6db4b0f1c277fe194fb7c80046ac",
+        "3150db79d14156de3ded69a9b87e9a88937e4508ce579d98a124755a5d929509",
+        "6c91c43ed85835a9ba4fe1607cfdb9bdd206fd3dae45d20e01b70fd46c0be5dc",
+        "cdd09e7f8225a8352fa87332ebb75a797c6149e6daa28be24af29bd483dd2a23",
+    ),
+    8: (
+        "8962411f5c8fb4bc4fe809bbc609ef21a59b9844f81a1f55159c4d06047cdc1f",
+        "5343d5479e5ba22307ae255b6e5ef6f95c7e34a4df5b3b02a98277652bd3c9b8",
+        "6ade5c79f8a1371e507f2e847d777ae1068740c5c58bb2bf86eb3f57a0feeaff",
+        "1820b6c975095b9fed4c6981d07614a1f78925b8145e2402cffbcc6ba2565834",
+    ),
+    9: (
+        "54f6dfe36174b1792f5d2c895b7db306c4825ec19f1555a0b010a5fa459be647",
+        "aa9b42576948740b88216d2cb632648f62fa47bdcc4be830689f93a9dd589f7f",
+        "1a68adaab7df36770d6c7a16023d94f6b9b3fb39c063a58281a15ddc936371f3",
+        "e2dacaff242398b7ce39e9dfb03c3ffd2502ef5c8180dc324430028d5316ed20",
+    ),
+}
+
+
+@pytest.mark.parametrize("n", range(1, 10))
+@pytest.mark.parametrize("index, seed", [(0, 0), (1, 1), (2, 7), (3, 2**64 - 1), (3, -1)])
+def test_random_hl_stream_is_pinned(n, index, seed):
+    text = dumps_recipe(random_hl(n, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == RANDOM_HL_DIGESTS[n][index]
+
+
 # --- materialize ----------------------------------------------------------
 
 
@@ -202,14 +285,14 @@ def test_materialize_counts(maker, n):
     g = materialize(maker(n))
     assert g.vertex_count == 1 << n
     assert g.edge_count == (n * (1 << (n - 1)) if n else 0)
-    assert all(g.degree(v) == n for v in range(1 << n))
+    assert is_simple_regular(g, n)
     assert g.is_connected()
 
 
 def test_materialize_random_hl_10_7():
     g = materialize(random_hl(10, 7))
     assert g.vertex_count == 1024 and g.edge_count == 5120
-    assert all(g.degree(v) == 10 for v in range(1024))
+    assert is_simple_regular(g, 10)
     assert g.is_connected()
 
 
