@@ -194,20 +194,14 @@ class _Clock:
 
 
 def _exit_code(rows) -> int:
-    failed = False
-    incomplete = False
-    for row in rows:
-        status = row.status if isinstance(row, ReportRow) else row.get("status", "")
-        token = str(status).split(";")[0]
-        if token in _FAIL_TOKENS:
-            failed = True
-        if token == "incomplete":
-            incomplete = True
-        if isinstance(row, ReportRow) and not row.consistent():
-            failed = True
-    if failed:
+    tokens = {
+        str(row.status if isinstance(row, ReportRow) else row.get("status", ""))
+        .split(";")[0]
+        for row in rows
+    }
+    if tokens & _FAIL_TOKENS:
         return EXIT_CHECK_FAILED
-    if incomplete:
+    if "incomplete" in tokens:
         return EXIT_BUDGET
     return EXIT_OK
 
@@ -251,7 +245,7 @@ def _run_cut(args: argparse.Namespace):
     clock = _Clock(args.timing)
     graph = materialize(recipe, max_dim=args.max_dim)
     cut = build_component_cut(recipe, g)
-    report = verify_cut(graph, cut, g)
+    report = verify_cut(graph, cut)
     if args.cut_out:
         save_cut(cut, n, g, args.cut_out)
     return _cut_rows(n, g, report, clock)
@@ -265,13 +259,14 @@ def _run_verify(args: argparse.Namespace):
     if args.g is not None:
         g = args.g
     clock = _Clock(args.timing)
-    report = verify_cut(graph, cut, g)
+    report = verify_cut(graph, cut)
     return _cut_rows(graph.n, g, report, clock)
 
 
 def _cut_rows(n: int, g: int, report: CutReport, clock: _Clock) -> list[ReportRow]:
-    """The one report row of cut and verify, shared so the two stay identical."""
-    if not report.matches_prediction:
+    """The one report row of cut and verify, and the one check of n*g - e(g)."""
+    predicted = n * g - extremal_edge_count(g)
+    if report.cut_size != predicted:
         token = "size-mismatch"
     elif report.component_count < g + 1:
         token = "components-short"
@@ -281,25 +276,18 @@ def _cut_rows(n: int, g: int, report: CutReport, clock: _Clock) -> list[ReportRo
         f"{token};components={report.component_count};"
         f"isolated={report.isolated_count}"
     )
-    return [
-        ReportRow(
-            n, g, report.predicted_size, report.cut_size, None, status, clock.lap()
-        )
-    ]
-
-
-def _search_limits(args: argparse.Namespace) -> SearchLimits:
-    return SearchLimits(args.max_nodes, args.time_budget)
+    return [ReportRow(n, g, predicted, report.cut_size, None, status, clock.lap())]
 
 
 def _run_oracle_eg(args: argparse.Namespace):
+    limits = SearchLimits(args.max_nodes, args.time_budget)
     recipe, n = _resolve_recipe(args)
     graph = materialize(recipe, max_dim=args.max_dim)
     rows = []
     clock = _Clock(args.timing)
     for g in _g_range(args, n):
         formula = extremal_edge_count(g)
-        result = max_induced_edges(graph, g, _search_limits(args))
+        result = max_induced_edges(graph, g, limits)
         if result.status != COMPLETE:
             status = "incomplete"
         elif result.value == formula:
@@ -311,6 +299,7 @@ def _run_oracle_eg(args: argparse.Namespace):
 
 
 def _run_oracle_clambda(args: argparse.Namespace):
+    limits = SearchLimits(args.max_nodes, args.time_budget)
     recipe, n = _resolve_recipe(args)
     graph = materialize(recipe, max_dim=args.max_dim)
     gs = _g_range(args, n)
@@ -320,7 +309,7 @@ def _run_oracle_clambda(args: argparse.Namespace):
     clock = _Clock(args.timing)
     for g in gs:
         bound = component_edge_connectivity(n, g, "permissive").value
-        result = min_component_edge_cut(graph, g + 1, _search_limits(args))
+        result = min_component_edge_cut(graph, g + 1, limits)
         if result.status != COMPLETE:
             status = "incomplete"
         elif result.value > bound:

@@ -20,7 +20,7 @@ from itertools import chain
 from pathlib import Path
 from typing import IO, Iterable
 
-from .formulas import binary_decomposition, extremal_edge_count
+from .formulas import binary_decomposition
 from .recipes import Graph, Recipe, _edge_set, _read_edge_list, _write_document, split
 
 
@@ -107,22 +107,14 @@ def build_component_cut(recipe: Recipe, g: int) -> set[tuple[int, int]]:
 
 @dataclass(frozen=True)
 class CutReport:
-    """Verification record for a candidate component edge cut.
-
-    matches_prediction compares the cut size against n*g - e(g) for the
-    requested g; component and isolated counts come from direct traversal.
-    """
+    """What verify_cut counts; the CLI compares cut_size with n*g - e(g)."""
 
     cut_size: int
     component_count: int
     isolated_count: int
-    predicted_size: int
-    matches_prediction: bool
 
 
-def verify_cut(
-    graph: Graph, cut_edges: Iterable[tuple[int, int]], target_g: int
-) -> CutReport:
+def verify_cut(graph: Graph, cut_edges: Iterable[tuple[int, int]]) -> CutReport:
     """Count components and isolated vertices of the graph minus the cut.
 
     Each component grows by whole frontiers: the next frontier is the image
@@ -164,14 +156,7 @@ def verify_cut(
         components += 1
         if size == 1:
             isolated += 1
-    predicted = graph.n * target_g - extremal_edge_count(target_g)
-    return CutReport(
-        cut_size=len(gone),
-        component_count=components,
-        isolated_count=isolated,
-        predicted_size=predicted,
-        matches_prediction=len(gone) == predicted,
-    )
+    return CutReport(len(gone), components, isolated)
 
 
 def save_cut(

@@ -41,6 +41,11 @@ class SearchLimits:
     max_nodes_expanded: "int | None" = None
     time_budget: "float | None" = None
 
+    def __post_init__(self) -> None:
+        for name, value in vars(self).items():
+            if value is not None and not value >= 0:  # NaN fails >= too
+                raise ValueError(f"{name} must be non-negative, got {value}")
+
 
 class _Budget:
     __slots__ = ("max_nodes", "deadline", "nodes", "exhausted")

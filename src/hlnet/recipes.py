@@ -104,10 +104,6 @@ def compose(left: Recipe, right: Recipe, matching: Iterable[int]) -> Recipe:
     index ``i``.  Raises RecipeError on dimension mismatch or when the
     matching is not a permutation of the half's index range.
     """
-    if left.dim != right.dim:
-        raise RecipeError(
-            f"cannot compose recipes of dim {left.dim} and {right.dim}"
-        )
     return Recipe(left.dim + 1, left, right, tuple(matching))
 
 
@@ -309,10 +305,7 @@ def materialize(recipe: Recipe, max_dim: int = MAX_DIM) -> Graph:
     pair per matching entry covers all nodes at once; otherwise each node
     gets one contiguous slice pair, gathered through itemgetter.
     """
-    if recipe.dim > max_dim:
-        raise RecipeError(
-            f"recipe dim {recipe.dim} exceeds guard max_dim={max_dim}"
-        )
+    _check_dim(recipe.dim, max_dim)
     labels = list(range(1 << recipe.dim))
     columns = []
     # per matching object, so a subtree shared by many nodes builds them once
@@ -456,9 +449,10 @@ def dumps_recipe(recipe: Recipe) -> str:
 
 def loads_recipe(text: str) -> Recipe:
     try:
-        obj = json.loads(text)
-        return _recipe_from_obj(obj, "$")
-    except json.JSONDecodeError as exc:
+        return _recipe_from_obj(json.loads(text), "$")
+    except RecipeError:
+        raise
+    except ValueError as exc:  # bad JSON, or an integer too long for int()
         raise RecipeError(f"malformed recipe document: {exc}") from None
     except RecursionError:
         raise RecipeError("malformed recipe document: nested too deeply") from None

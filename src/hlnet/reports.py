@@ -17,11 +17,7 @@ FORMATS = ("csv", "json", "text")
 
 @dataclass(frozen=True)
 class ReportRow:
-    """One experiment cell.  Values absent for a command stay None.
-
-    A populated construction_value must equal formula_value; the harness
-    treats a mismatch as a failed check (exit code 1).
-    """
+    """One experiment cell.  Values absent for a command stay None."""
 
     n: int
     g: int
@@ -30,11 +26,6 @@ class ReportRow:
     oracle_value: "int | None"
     status: str
     elapsed_ms: int = 0
-
-    def consistent(self) -> bool:
-        if self.formula_value is None or self.construction_value is None:
-            return True
-        return self.formula_value == self.construction_value
 
 
 def emit_report(rows, fmt: str) -> str:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hlnet.cli import main
+from hlnet.cli import _exit_code, main
 from hlnet.reports import ReportRow, emit_report
 
 
@@ -43,10 +43,36 @@ def test_emit_rejects_unknown_format():
         emit_report([ROW], "xml")
 
 
-def test_row_consistency():
-    assert ROW.consistent()
-    assert ReportRow(3, 2, 5, None, None, "ok", 0).consistent()
-    assert not ReportRow(3, 2, 5, 6, None, "ok", 0).consistent()
+# --- exit codes ---------------------------------------------------------------
+
+
+def _row(status):
+    return ReportRow(3, 2, None, None, None, status, 0)
+
+
+@pytest.mark.parametrize(
+    "statuses, code",
+    [
+        ([], 0),
+        (["ok"], 0),
+        (["ok;components=3;isolated=2"], 0),
+        (["equal", "gap"], 0),
+        (["pass", "pass"], 0),
+        (["fail"], 1),
+        (["mismatch"], 1),
+        (["size-mismatch;components=2;isolated=1"], 1),
+        (["components-short;components=1;isolated=0"], 1),
+        (["bound-violated"], 1),
+        (["incomplete"], 3),
+        (["ok", "incomplete", "equal"], 3),
+        (["incomplete", "mismatch"], 1),
+        (["bound-violated", "incomplete"], 1),
+        (["incomplete", "components-short;components=1;isolated=0"], 1),
+    ],
+)
+def test_exit_code_reads_the_status_token(statuses, code):
+    assert _exit_code([_row(s) for s in statuses]) == code
+    assert _exit_code([{"check": "x", "status": s} for s in statuses]) == code
 
 
 # --- commands -----------------------------------------------------------------
@@ -139,6 +165,48 @@ def test_verify_detects_mismatched_target(tmp_path, capsys):
     assert "size-mismatch" in capsys.readouterr().out
 
 
+def test_verify_reports_a_cut_of_the_right_size_that_leaves_too_few_components(
+    tmp_path, capsys
+):
+    graph_path = tmp_path / "g.edges"
+    cut_path = tmp_path / "c.edges"
+    main(["gen", "--n", "3", "--graph-out", str(graph_path)])
+    # three parallel level-0 edges: 3*1 - e(1) = 3 edges, but Q3 stays connected
+    cut_path.write_text("# hl-cut n=3 g=1 size=3\n0 1\n2 3\n4 5\n")
+    argv = ["verify", "--graph", str(graph_path), "--cut", str(cut_path)]
+    assert main(argv + ["--format", "csv"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1] == "3,1,3,3,,components-short;components=1;isolated=0,0"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eg", "--n", "4", "--g-max", "8"],
+        ["cut", "--n", "8", "--recipe", "random:seed=7", "--g", "16"],
+        ["oracle-eg", "--n", "3", "--recipe", "g84", "--g-all"],
+        ["oracle-clambda", "--n", "3", "--g-max", "2"],
+        ["verify", "--graph", "{tmp}/g.edges", "--cut", "{tmp}/c.edges"],
+    ],
+)
+def test_timing_only_fills_elapsed_ms(argv, tmp_path, capsys):
+    main(["gen", "--n", "4", "--graph-out", str(tmp_path / "g.edges")])
+    cut_out = str(tmp_path / "c.edges")
+    main(["cut", "--n", "4", "--g", "3", "--mode", "permissive", "--cut-out", cut_out])
+    capsys.readouterr()
+    argv = [a.format(tmp=tmp_path) for a in argv] + ["--format", "json"]
+    assert main(argv) == 0
+    untimed = json.loads(capsys.readouterr().out)
+    assert main(argv + ["--timing"]) == 0
+    timed = json.loads(capsys.readouterr().out)
+    assert len(timed) == len(untimed) > 0
+    for row, plain in zip(timed, untimed):
+        elapsed = row.pop("elapsed_ms")
+        assert type(elapsed) is int and elapsed >= 0
+        assert plain.pop("elapsed_ms") == 0
+        assert row == plain
+
+
 def test_cut_strict_mode_rejects_small_dims(capsys):
     assert main(["cut", "--n", "3", "--g", "2"]) == 2
     assert "strict" in capsys.readouterr().err
@@ -169,6 +237,34 @@ def test_oracle_eg_budget_exhaustion(capsys):
     )
     assert code == 3
     assert "incomplete" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        (["--time-budget", "nan"], "time_budget must be non-negative, got nan"),
+        (["--time-budget", "-1"], "time_budget must be non-negative, got -1.0"),
+        (["--max-nodes", "-5"], "max_nodes_expanded must be non-negative, got -5"),
+    ],
+)
+@pytest.mark.parametrize("command", ["oracle-eg", "oracle-clambda"])
+def test_invalid_search_budget_is_a_usage_error(command, budget, message, capsys):
+    assert main([command, "--n", "3", "--g", "2"] + budget) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "budget, code",
+    [
+        (["--time-budget", "inf"], 0),
+        (["--time-budget", "0"], 3),
+        (["--max-nodes", "0"], 3),
+    ],
+)
+def test_zero_and_infinite_search_budgets_keep_their_meaning(budget, code):
+    assert main(["oracle-eg", "--n", "3", "--g", "4"] + budget) == code
 
 
 def test_oracle_clambda_reports_gap_or_equal(tmp_path, capsys):
@@ -345,6 +441,25 @@ def test_verify_rejects_bad_graph_header(header, message, tmp_path, capsys):
     cut_path.write_text("# hl-cut n=1 g=1 size=1\n0 1\n")
     assert main(["verify", "--graph", str(graph_path), "--cut", str(cut_path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_cut_rejects_recipe_document_with_an_integer_too_long_to_read(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"dim": ' + "9" * 5000 + "}")
+    assert main(["cut", "--recipe", f"file:{path}", "--g", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: malformed recipe document: ")
+    assert captured.err.count("\n") == 1
+
+
+def test_recipe_file_above_the_dimension_guard_is_a_usage_error(tmp_path, capsys):
+    path = tmp_path / "r.json"
+    main(["gen", "--n", "2", "--recipe-out", str(path)])
+    assert main(["oracle-eg", "--recipe", f"file:{path}", "--g", "1", "--max-dim", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: dimension 2 exceeds guard max_dim=1\n"
 
 
 def test_cut_rejects_recipe_document_nested_too_deeply(deep_recipe_doc, tmp_path, capsys):

@@ -112,10 +112,10 @@ def test_cut_dim8_budget5_leaves_isolated():
     recipe = hypercube(8)
     cut = build_component_cut(recipe, 5)
     assert len(cut) == 8 * 5 - 5
-    report = verify_cut(materialize(recipe), cut, 5)
+    report = verify_cut(materialize(recipe), cut)
     assert report.isolated_count == 5
     assert report.component_count >= 6
-    assert report.matches_prediction
+    assert report.cut_size == 8 * 5 - extremal_edge_count(5)
 
 
 def test_cut_is_boundary_plus_induced(g84_graph):
@@ -159,43 +159,41 @@ def test_cut_domain_errors():
 
 
 def test_verify_empty_cut_one_component(q3):
-    report = verify_cut(q3, set(), 1)
+    report = verify_cut(q3, set())
     assert report.component_count == 1
     assert report.isolated_count == 0
-    assert not report.matches_prediction  # 0 != 3*1 - 0
+    assert report.cut_size == 0 != 3 * 1 - extremal_edge_count(1)
 
 
 def test_verify_constructed_cut(q4):
     for g in range(1, 5):
         cut = build_component_cut(hypercube(4), g)
-        report = verify_cut(q4, cut, g)
-        assert report.matches_prediction
+        report = verify_cut(q4, cut)
+        assert report.cut_size == 4 * g - extremal_edge_count(g)
         assert report.component_count >= g + 1
         assert report.isolated_count == g
-        assert report.predicted_size == 4 * g - extremal_edge_count(g)
 
 
 def test_verify_rejects_non_edge(q3):
     with pytest.raises(ValueError, match="not an edge"):
-        verify_cut(q3, {(0, 7)}, 1)
+        verify_cut(q3, {(0, 7)})
 
 
 @pytest.mark.parametrize("pair", [(-1, 6), (5000, 5001)])
 def test_verify_rejects_out_of_range_pair(q3, pair):
     assert not q3.has_edge(*pair)
     with pytest.raises(ValueError, match="not an edge"):
-        verify_cut(q3, {pair}, 1)
+        verify_cut(q3, {pair})
 
 
 def test_verify_two_adjacent_stars_cross_checked(q3):
     # all edges at 0 and at 1 (their shared edge appears once)
     cut = boundary_edges(q3, [0]) | boundary_edges(q3, [1])
-    report = verify_cut(q3, cut, 2)
+    report = verify_cut(q3, cut)
     witness = components_after(q3, cut)
     assert report.component_count == len(witness.blocks) == 3
     assert report.isolated_count == 2
-    assert report.cut_size == 5
-    assert report.matches_prediction  # 3*2 - e(2) = 5
+    assert report.cut_size == 5 == 3 * 2 - extremal_edge_count(2)
 
 
 def relabelled(graph, seed):
@@ -247,7 +245,7 @@ def test_verify_and_components_after_agree_on_random_cuts():
                 several_large += sum(1 for s in sizes if s > 1) >= 2
                 moved = {(perm[u], perm[v]) for u, v in cut}
                 for g, c in ((graph, cut), (scrambled, moved), (loaded, cut)):
-                    report = verify_cut(g, c, 1)
+                    report = verify_cut(g, c)
                     assert report.component_count == len(sizes)
                     assert report.isolated_count == sizes.count(1)
                     assert report.cut_size == len(cut)

@@ -95,6 +95,29 @@ def test_time_budget_zero_is_exhausted_immediately(q4):
     assert len(result.witness) == 8
 
 
+@pytest.mark.parametrize(
+    "budget, message",
+    [
+        ({"max_nodes_expanded": -5}, "max_nodes_expanded must be non-negative, got -5"),
+        ({"time_budget": -1.0}, "time_budget must be non-negative, got -1.0"),
+        ({"time_budget": float("nan")}, "time_budget must be non-negative, got nan"),
+        ({"time_budget": float("-inf")}, "time_budget must be non-negative, got -inf"),
+    ],
+)
+def test_search_limits_reject_negative_and_nan_budgets(budget, message):
+    with pytest.raises(ValueError) as exc:
+        SearchLimits(**budget)
+    assert str(exc.value) == message
+
+
+def test_zero_and_infinite_budgets_keep_their_meaning(q4):
+    exhausted = max_induced_edges(q4, 8, SearchLimits(max_nodes_expanded=0))
+    assert exhausted.status == "incomplete"
+    unlimited = max_induced_edges(q4, 8, SearchLimits(10**9, float("inf")))
+    assert unlimited == max_induced_edges(q4, 8)
+    assert unlimited.status == "complete"
+
+
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("seed", [None, 0, 1])
 def test_max_edges_equals_formula(n, seed):

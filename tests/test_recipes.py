@@ -92,7 +92,9 @@ def test_compose_rejects_short_matching():
 
 
 def test_compose_rejects_dim_mismatch():
-    with pytest.raises(RecipeError, match="dim"):
+    # Recipe makes the check, so compose and direct construction agree
+    message = "^subrecipe dimension mismatch: left dim 2, right dim 1$"
+    with pytest.raises(RecipeError, match=message):
         compose(hypercube(2), hypercube(1), [0, 1])
 
 
@@ -388,7 +390,7 @@ def test_graph_rejects_bad_rows(rows, message):
 
 def test_materialize_guard():
     r = hypercube(6)
-    with pytest.raises(RecipeError, match="guard"):
+    with pytest.raises(RecipeError, match="^dimension 6 exceeds guard max_dim=5$"):
         materialize(r, max_dim=5)
 
 
@@ -563,6 +565,19 @@ def test_load_rejects_garbage():
         loads_recipe("{not json")
     with pytest.raises(RecipeError, match=r"\$.node.left"):
         loads_recipe('{"dim": 1, "node": {"left": 3, "right": {"dim": 0, "leaf": true}, "matching": [0]}}')
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"dim": ' + "9" * 5000 + "}",
+        _K2_DOC.replace("[0]", "[" + "1" * 5000 + "]"),
+    ],
+    ids=["dim", "matching"],
+)
+def test_load_rejects_integers_too_long_to_read(doc):
+    with pytest.raises(RecipeError, match="^malformed recipe document: "):
+        loads_recipe(doc)
 
 
 def test_direct_recipe_validation():
