@@ -8,8 +8,6 @@ everything against exact brute-force searches at small scale.
 
 from .construction import (
     CutReport,
-    SelectionBlock,
-    SelectionTrace,
     build_component_cut,
     load_cut,
     save_cut,

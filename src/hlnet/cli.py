@@ -27,6 +27,7 @@ from .oracles import (
 from .recipes import (
     MAX_DIM,
     Recipe,
+    _check_dim,
     g84,
     hypercube,
     load_graph,
@@ -220,6 +221,8 @@ def _run_eg(args: argparse.Namespace):
     n = args.n or 0
     if n < 0:
         raise ValueError(f"--n must be non-negative, got {n}")
+    if args.g_all:
+        _check_dim(n, MAX_DIM)
     rows = []
     clock = _Clock(args.timing)
     for g in _g_range(args, args.n):
@@ -303,6 +306,8 @@ def _run_oracle_clambda(args: argparse.Namespace):
     recipe, n = _resolve_recipe(args)
     graph = materialize(recipe, max_dim=args.max_dim)
     gs = _g_range(args, n)
+    if gs[0] < 1:
+        raise ValueError(f"--g must be at least 1, got {gs[0]}")
     if args.witness_out and len(gs) != 1:
         raise ValueError("--witness-out needs a single --g")
     rows = []

@@ -1,11 +1,10 @@
 """Extremal subgraph selection and component edge cuts.
 
-The selection walks the recipe tree once per term of the vertex budget's
-binary decomposition: descend into the left child until one level above the
-term's dimension, claim the left half of that node, and continue inside the
-right half with the next term.  Because left halves hold the lower labels,
-each claimed block is a contiguous label range and the whole selection is
-the first g labels; the claimed set always induces the extremal edge count.
+The extremal g-vertex set of an HL network is its first g labels, whatever
+the recipe.  Left halves hold the lower labels at every level, so those
+labels split into one whole sub-network per binary digit of g: the first
+2^t_0 labels, then the next 2^t_1, and so on for binary_decomposition(g).
+This set always induces the extremal edge count e(g).
 
 Cutting every edge that touches the selection isolates its g vertices and
 costs exactly n*g - e(g) edges, which is the optimal (g+1)-component cut
@@ -16,32 +15,12 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import IO, Iterable
 
 from .formulas import binary_decomposition
 from .recipes import Graph, Recipe, _edge_set, _read_edge_list, _write_document, split
-
-
-@dataclass(frozen=True)
-class SelectionBlock:
-    """One claimed sub-block: its descent path, dimension, and labels."""
-
-    path: str
-    dim: int
-    vertices: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class SelectionTrace:
-    network_dim: int
-    blocks: tuple[SelectionBlock, ...]
-
-    @property
-    def union(self) -> range:
-        """All selected labels: the blocks tile 0..g-1, so this is range(g)."""
-        return range(sum(1 << block.dim for block in self.blocks))
 
 
 def _check_budget(recipe: Recipe, g: int) -> None:
@@ -51,31 +30,17 @@ def _check_budget(recipe: Recipe, g: int) -> None:
         )
 
 
-def select_extremal_subgraph(recipe: Recipe, g: int) -> SelectionTrace:
+def select_extremal_subgraph(recipe: Recipe, g: int) -> tuple[range, ...]:
     """Pick g vertices whose induced subgraph attains the extremal count.
 
-    One block per binary-decomposition term of g; block i has 2^t_i
-    vertices, induces a t_i-dimensional subnetwork, and sends exactly
-    2^t_j matching edges to each later block j.  Deterministic: the descent
-    always takes the left child, so the trace depends only on (recipe, g).
+    One label range per binary-decomposition term of g, in order, tiling
+    range(g); block i has 2^t_i labels, induces a t_i-dimensional
+    subnetwork, and sends exactly 2^t_j matching edges to each later
+    block j.
     """
     _check_budget(recipe, g)
-    blocks = []
-    current = recipe
-    path = ""
-    offset = 0
-    for t in binary_decomposition(g):
-        while current.dim > t + 1:
-            current = split(current)[0]
-            path += "L"
-        _, right, _ = split(current)
-        blocks.append(
-            SelectionBlock(path + "L", t, tuple(range(offset, offset + (1 << t))))
-        )
-        current = right
-        path += "R"
-        offset += 1 << t
-    return SelectionTrace(recipe.dim, tuple(blocks))
+    sizes = [1 << t for t in binary_decomposition(g)]
+    return tuple(range(end - size, end) for size, end in zip(sizes, accumulate(sizes)))
 
 
 def build_component_cut(recipe: Recipe, g: int) -> set[tuple[int, int]]:
@@ -95,11 +60,12 @@ def build_component_cut(recipe: Recipe, g: int) -> set[tuple[int, int]]:
     def walk(r: Recipe, offset: int) -> None:
         if r.is_leaf or offset >= g:
             return
+        left, right, matching = split(r)
         base = offset + (1 << (r.dim - 1))
-        for i, m in enumerate(r.matching[: g - offset]):  # type: ignore[index]
+        for i, m in enumerate(matching[: g - offset]):
             cut.add((offset + i, base + m))
-        walk(r.left, offset)  # type: ignore[arg-type]
-        walk(r.right, base)  # type: ignore[arg-type]
+        walk(left, offset)
+        walk(right, base)
 
     walk(recipe, 0)
     return cut

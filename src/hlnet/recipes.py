@@ -265,20 +265,6 @@ class Graph:
                 masks[u] |= 1 << v
         return masks
 
-    def is_connected(self) -> bool:
-        if self.vertex_count == 0:
-            return True
-        seen = {0}
-        frontier = [0]
-        while frontier:
-            grown = set()
-            for col in self.columns:
-                grown.update(map(col.__getitem__, frontier))
-            grown -= seen
-            seen |= grown
-            frontier = grown
-        return len(seen) == self.vertex_count
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, vertices={self.vertex_count}, edges={self.edge_count})"
 

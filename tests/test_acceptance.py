@@ -53,7 +53,8 @@ def test_criterion_2_selection_optimal_mid_scale():
         for recipe in recipes:
             graph = materialize(recipe)
             for g in range(1, (1 << ((n + 1) // 2)) + 1):
-                chosen = select_extremal_subgraph(recipe, g).union
+                blocks = select_extremal_subgraph(recipe, g)
+                chosen = [v for block in blocks for v in block]
                 assert induced_edge_count(graph, chosen) == extremal_edge_count(g), (
                     n,
                     g,

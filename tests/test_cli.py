@@ -469,3 +469,33 @@ def test_cut_rejects_recipe_document_nested_too_deeply(deep_recipe_doc, tmp_path
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: malformed recipe document: nested too deeply\n"
+
+
+@pytest.mark.parametrize("g", ["0", "-2"])
+def test_oracle_clambda_single_g_below_one_is_a_usage_error(g, capsys):
+    assert main(["oracle-clambda", "--n", "3", "--g", g]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --g must be at least 1, got {g}\n"
+
+
+def test_g_zero_keeps_its_meaning_outside_oracle_clambda(capsys):
+    assert main(["eg", "--g", "0", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "0,0,0,,,ok,0"
+    assert main(["oracle-eg", "--n", "3", "--g", "0"]) == 2
+    assert capsys.readouterr().err == "error: k=0 out of range 1..8\n"
+
+
+@pytest.mark.parametrize("n", ["21", "30", "40", str(10**6)])
+def test_eg_g_all_above_the_dimension_guard_is_a_usage_error(n, capsys):
+    assert main(["eg", "--n", n, "--g-all"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: dimension {n} exceeds guard max_dim=20\n"
+
+
+def test_eg_g_all_within_the_guard_still_tabulates(capsys):
+    assert main(["eg", "--n", "4", "--g-all", "--format", "csv"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 16
+    assert main(["eg", "--n", "40", "--g-max", "8", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "40,8,12,,,ok,0"

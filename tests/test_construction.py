@@ -1,10 +1,12 @@
 import io
 import random
+from collections import Counter
 
 import pytest
 
 from hlnet import (
     Graph,
+    binary_decomposition,
     boundary_edges,
     build_component_cut,
     components_after,
@@ -26,20 +28,27 @@ from hlnet import (
 # --- extremal selection -----------------------------------------------------
 
 
+CROSS_CHECK_RECIPES = (
+    [g84()]
+    + [hypercube(n) for n in range(1, 7)]
+    + [random_hl(n, seed) for n in range(1, 8) for seed in range(4)]
+)
+
+
 def test_selection_single_power_is_one_subnetwork():
-    trace = select_extremal_subgraph(hypercube(4), 4)
-    assert len(trace.blocks) == 1
-    assert trace.blocks[0].dim == 2
-    assert sorted(trace.union) == [0, 1, 2, 3]
-    assert induced_edge_count(materialize(hypercube(4)), trace.union) == 4
+    blocks = select_extremal_subgraph(hypercube(4), 4)
+    assert len(blocks) == 1
+    assert len(blocks[0]).bit_length() - 1 == 2
+    assert sorted(blocks[0]) == [0, 1, 2, 3]
+    assert induced_edge_count(materialize(hypercube(4)), blocks[0]) == 4
 
 
 @pytest.mark.parametrize("recipe", [hypercube(8), random_hl(8, 4), random_hl(8, 9)])
 def test_selection_dim8_budget7(recipe):
-    trace = select_extremal_subgraph(recipe, 7)
+    chosen = [v for block in select_extremal_subgraph(recipe, 7) for v in block]
     graph = materialize(recipe)
-    assert len(trace.union) == 7
-    assert induced_edge_count(graph, trace.union) == 9
+    assert len(chosen) == 7
+    assert induced_edge_count(graph, chosen) == 9
 
 
 @pytest.mark.parametrize("maker", [hypercube, lambda n: random_hl(n, 13)])
@@ -48,35 +57,33 @@ def test_selection_attains_formula(maker, n):
     recipe = maker(n)
     graph = materialize(recipe)
     for g in range(1, min(1 << ((n + 1) // 2), (1 << n) - 1) + 1):
-        trace = select_extremal_subgraph(recipe, g)
-        assert induced_edge_count(graph, trace.union) == extremal_edge_count(g)
+        chosen = [v for block in select_extremal_subgraph(recipe, g) for v in block]
+        assert induced_edge_count(graph, chosen) == extremal_edge_count(g)
 
 
 def test_selection_block_structure():
-    recipe = random_hl(6, 21)
-    graph = materialize(recipe)
-    g = 13  # 8 + 4 + 1
-    trace = select_extremal_subgraph(recipe, g)
-    dims = [b.dim for b in trace.blocks]
-    assert dims == [3, 2, 0]
-    union = set()
-    for block in trace.blocks:
-        assert len(block.vertices) == 1 << block.dim
-        assert not union & set(block.vertices)
-        union.update(block.vertices)
-        # each block induces a full sub-network of its dimension
-        assert induced_edge_count(graph, block.vertices) == (
-            block.dim * (1 << (block.dim - 1)) if block.dim else 0
-        )
-    assert len(union) == g
-    # cross-edge counts between blocks i < j are exactly 2^dim_j
-    for i in range(len(trace.blocks)):
-        for j in range(i + 1, len(trace.blocks)):
-            vi, vj = trace.blocks[i].vertices, trace.blocks[j].vertices
-            cross = sum(
-                1 for u in vi for w in graph.neighbors(u) if w in set(vj)
+    # the paper's structure on every budget: block i is a full
+    # t_i-dimensional sub-network and sends exactly 2^t_j edges to each
+    # later block j
+    for recipe in CROSS_CHECK_RECIPES:
+        graph = materialize(recipe)
+        for g in range(1, 1 << recipe.dim):
+            blocks = select_extremal_subgraph(recipe, g)
+            dims = binary_decomposition(g)
+            assert [v for b in blocks for v in b] == list(range(g))
+            assert [len(b) for b in blocks] == [1 << t for t in dims]
+            block_of = {v: i for i, b in enumerate(blocks) for v in b}
+            ends = Counter(
+                (i, block_of[col[u]])
+                for i, b in enumerate(blocks)
+                for u in b
+                for col in graph.columns
+                if col[u] in block_of
             )
-            assert cross == 1 << trace.blocks[j].dim
+            for i, t in enumerate(dims):
+                assert ends[i, i] == t << t  # each induced edge has both ends here
+                for j in range(i + 1, len(dims)):
+                    assert ends[i, j] == 1 << dims[j]
 
 
 def test_selection_is_deterministic():
@@ -122,7 +129,7 @@ def test_cut_is_boundary_plus_induced(g84_graph):
     recipe = g84()
     for g in range(1, 8):
         cut = build_component_cut(recipe, g)
-        chosen = select_extremal_subgraph(recipe, g).union
+        chosen = [v for block in select_extremal_subgraph(recipe, g) for v in block]
         inner = {
             (u, v)
             for u in chosen
@@ -131,13 +138,6 @@ def test_cut_is_boundary_plus_induced(g84_graph):
         }
         assert cut == boundary_edges(g84_graph, chosen) | inner
         assert len(cut) == 3 * g - extremal_edge_count(g)
-
-
-CROSS_CHECK_RECIPES = (
-    [g84()]
-    + [hypercube(n) for n in range(1, 7)]
-    + [random_hl(n, seed) for n in range(1, 8) for seed in range(4)]
-)
 
 
 @pytest.mark.parametrize("recipe", CROSS_CHECK_RECIPES)

@@ -29,6 +29,7 @@ from hlnet import (
     save_graph,
     save_recipe,
     split,
+    verify_cut,
 )
 
 Q4 = materialize(hypercube(4))
@@ -142,14 +143,15 @@ def test_split_leaf_raises():
 
 def test_hypercube_zero_is_single_vertex():
     g = materialize(hypercube(0))
-    assert g.vertex_count == 1 and g.edge_count == 0 and g.is_connected()
+    assert g.vertex_count == 1 and g.edge_count == 0
+    assert verify_cut(g, ()).component_count == 1
 
 
 def test_hypercube_two_is_a_4_cycle():
     g = materialize(hypercube(2))
     assert g.vertex_count == 4 and g.edge_count == 4
     assert is_simple_regular(g, 2)
-    assert g.is_connected()
+    assert verify_cut(g, ()).component_count == 1
 
 
 def test_hypercube_three_counts_and_bipartite(q3):
@@ -288,14 +290,14 @@ def test_materialize_counts(maker, n):
     assert g.vertex_count == 1 << n
     assert g.edge_count == (n * (1 << (n - 1)) if n else 0)
     assert is_simple_regular(g, n)
-    assert g.is_connected()
+    assert verify_cut(g, ()).component_count == 1
 
 
 def test_materialize_random_hl_10_7():
     g = materialize(random_hl(10, 7))
     assert g.vertex_count == 1024 and g.edge_count == 5120
     assert is_simple_regular(g, 10)
-    assert g.is_connected()
+    assert verify_cut(g, ()).component_count == 1
 
 
 def test_left_half_projects_to_left_recipe():
@@ -343,14 +345,14 @@ def test_materialize_matches_reference_walk(recipe):
     assert [g.neighbors(v) for v in range(size)] == [tuple(sorted(r)) for r in rows]
     assert list(g.edges()) == sorted(edges)
     assert g.edge_count == len(edges)
-    assert g.is_connected()
+    assert verify_cut(g, ()).component_count == 1
 
 
 def test_materialize_leaf_is_one_vertex_without_edges():
     g = materialize(leaf())
     assert (g.vertex_count, g.edge_count) == (1, 0)
     assert g.neighbors(0) == () and list(g.edges()) == []
-    assert g.is_connected()
+    assert verify_cut(g, ()).component_count == 1
 
 
 @pytest.mark.parametrize("n", range(9))
@@ -369,7 +371,7 @@ def test_graph_rows_become_columns():
     assert [g.neighbors(v) for v in range(8)] == rows
     assert list(g.edges()) == [(0, 1), (0, 2), (1, 3), (2, 3), (4, 5), (4, 6), (5, 7), (6, 7)]
     assert g.edge_count == 8
-    assert not g.is_connected()
+    assert verify_cut(g, ()).component_count == 2
     assert not g.has_edge(8, 0) and not g.has_edge(-1, 6)
 
 
