@@ -110,7 +110,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "exact minimum component cut vs formula bound",
         _run_oracle_clambda,
     )
-    p.set_defaults(g_all=False)
     _add_g_args(p, g_all=False)
     _add_limit_args(p)
     p.add_argument("--witness-out", help="best partition destination (single --g only)")
@@ -169,17 +168,17 @@ def _resolve_recipe(args: argparse.Namespace) -> tuple[Recipe, int]:
     return random_hl(args.n, seed, max_dim=args.max_dim), args.n
 
 
-def _g_range(args: argparse.Namespace, n: "int | None") -> list[int]:
+def _g_range(args: argparse.Namespace, n: "int | None") -> range:
     if args.g is not None:
-        return [args.g]
+        return range(args.g, args.g + 1)
     if args.g_max is not None:
         if args.g_max < 1:
             raise ValueError(f"--g-max must be at least 1, got {args.g_max}")
-        return list(range(1, args.g_max + 1))
+        return range(1, args.g_max + 1)
     # argparse requires one of --g, --g-max, --g-all
     if n is None:
         raise ValueError("--g-all needs a dimension")
-    return list(range(1, (1 << n) + 1))
+    return range(1, (1 << n) + 1)
 
 
 class _Clock:
@@ -223,11 +222,15 @@ def _run_eg(args: argparse.Namespace):
         raise ValueError(f"--n must be non-negative, got {n}")
     if args.g_all:
         _check_dim(n, MAX_DIM)
+    elif (args.g_max or 0) > 1 << MAX_DIM:
+        raise ValueError(
+            f"--g-max {args.g_max} exceeds the guard 2^{MAX_DIM} = {1 << MAX_DIM}"
+        )
     rows = []
     clock = _Clock(args.timing)
     for g in _g_range(args, args.n):
         # min() keeps the shift no wider than g when --n is huge
-        if n and not 0 <= g <= (1 << min(n, g.bit_length())):
+        if args.n is not None and not 0 <= g <= (1 << min(n, g.bit_length())):
             raise ValueError(f"g={g} out of range for dimension {n}")
         rows.append(
             ReportRow(n, g, extremal_edge_count(g), None, None, "ok", clock.lap())
@@ -285,10 +288,11 @@ def _cut_rows(n: int, g: int, report: CutReport, clock: _Clock) -> list[ReportRo
 def _run_oracle_eg(args: argparse.Namespace):
     limits = SearchLimits(args.max_nodes, args.time_budget)
     recipe, n = _resolve_recipe(args)
+    gs = _g_range(args, n)
     graph = materialize(recipe, max_dim=args.max_dim)
     rows = []
     clock = _Clock(args.timing)
-    for g in _g_range(args, n):
+    for g in gs:
         formula = extremal_edge_count(g)
         result = max_induced_edges(graph, g, limits)
         if result.status != COMPLETE:
@@ -304,12 +308,12 @@ def _run_oracle_eg(args: argparse.Namespace):
 def _run_oracle_clambda(args: argparse.Namespace):
     limits = SearchLimits(args.max_nodes, args.time_budget)
     recipe, n = _resolve_recipe(args)
-    graph = materialize(recipe, max_dim=args.max_dim)
     gs = _g_range(args, n)
     if gs[0] < 1:
         raise ValueError(f"--g must be at least 1, got {gs[0]}")
-    if args.witness_out and len(gs) != 1:
+    if args.witness_out and args.g is None:
         raise ValueError("--witness-out needs a single --g")
+    graph = materialize(recipe, max_dim=args.max_dim)
     rows = []
     clock = _Clock(args.timing)
     for g in gs:

@@ -259,27 +259,20 @@ def components_after(
     gone = _edge_set(graph, removed)
     total = graph.vertex_count
     comp = [-1] * total
-    blocks = []
+    count = 0
     for start in range(total):
         if comp[start] >= 0:
             continue
-        cid = len(blocks)
-        comp[start] = cid
-        members = [start]
+        comp[start] = count
         stack = [start]
         while stack:
             u = stack.pop()
             for w in graph.neighbors(u):
-                if comp[w] >= 0:
-                    continue
-                if ((u, w) if u < w else (w, u)) in gone:
-                    continue
-                comp[w] = cid
-                members.append(w)
-                stack.append(w)
-        blocks.append(tuple(sorted(members)))
-    cross = frozenset(e for e in gone if comp[e[0]] != comp[e[1]])
-    return PartitionWitness(tuple(blocks), cross)
+                if comp[w] < 0 and ((u, w) if u < w else (w, u)) not in gone:
+                    comp[w] = count
+                    stack.append(w)
+        count += 1
+    return _partition_witness(graph, comp, count)
 
 
 def isomorphic_small(a: Graph, b: Graph) -> bool:

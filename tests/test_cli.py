@@ -472,8 +472,12 @@ def test_cut_rejects_recipe_document_nested_too_deeply(deep_recipe_doc, tmp_path
 
 
 @pytest.mark.parametrize("g", ["0", "-2"])
-def test_oracle_clambda_single_g_below_one_is_a_usage_error(g, capsys):
-    assert main(["oracle-clambda", "--n", "3", "--g", g]) == 2
+def test_oracle_clambda_single_g_below_one_is_a_usage_error(g, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("the graph is built before g is checked")
+
+    monkeypatch.setattr("hlnet.cli.materialize", fail)
+    assert main(["oracle-clambda", "--n", "4", "--g", g]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: --g must be at least 1, got {g}\n"
@@ -499,3 +503,35 @@ def test_eg_g_all_within_the_guard_still_tabulates(capsys):
     assert len(capsys.readouterr().out.splitlines()) == 1 + 16
     assert main(["eg", "--n", "40", "--g-max", "8", "--format", "csv"]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "40,8,12,,,ok,0"
+
+
+
+HUGE = str(10**12)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eg", "--g-max", HUGE], f"--g-max {HUGE} exceeds the guard 2^20 = 1048576"),
+        (["eg", "--n", "40", "--g-max", HUGE],
+         f"--g-max {HUGE} exceeds the guard 2^20 = 1048576"),
+        (["eg", "--g-max", "1048577"], "--g-max 1048577 exceeds the guard 2^20 = 1048576"),
+        (["oracle-eg", "--n", "3", "--g-max", HUGE], "k=9 out of range 1..8"),
+        (["oracle-clambda", "--n", "3", "--g-max", HUGE],
+         "g=8 out of range for dimension 3"),
+    ],
+    ids=["eg", "eg-n40", "eg-above-guard", "oracle-eg", "oracle-clambda"],
+)
+def test_g_max_too_large_is_one_usage_error_line(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_eg_reads_n_zero_as_given(capsys):
+    assert main(["eg", "--n", "0", "--g", "5"]) == 2
+    assert capsys.readouterr().err == "error: g=5 out of range for dimension 0\n"
+    for g in ("0", "1"):
+        assert main(["eg", "--n", "0", "--g", g, "--format", "csv"]) == 0
+        assert capsys.readouterr().out.splitlines()[1] == f"0,{g},0,,,ok,0"

@@ -5,6 +5,7 @@ from collections import Counter
 import pytest
 
 from hlnet import (
+    CutReport,
     Graph,
     binary_decomposition,
     boundary_edges,
@@ -143,9 +144,15 @@ def test_cut_is_boundary_plus_induced(g84_graph):
 @pytest.mark.parametrize("recipe", CROSS_CHECK_RECIPES)
 def test_cut_equals_materialized_star_of_first_labels(recipe):
     # the cut is walked off the recipe; check it against a real graph
-    edges = list(materialize(recipe).edges())
-    for g in range(1, 1 << recipe.dim):
-        assert build_component_cut(recipe, g) == {(u, v) for u, v in edges if u < g}
+    graph = materialize(recipe)
+    edges = list(graph.edges())
+    n = recipe.dim
+    for g in range(1, 1 << n):
+        cut = build_component_cut(recipe, g)
+        assert cut == {(u, v) for u, v in edges if u < g}
+        # g singletons and one connected rest, itself a singleton at g = 2^n - 1
+        expected = CutReport(n * g - extremal_edge_count(g), g + 1, g + (g == 2**n - 1))
+        assert verify_cut(graph, cut) == expected
 
 
 def test_cut_domain_errors():

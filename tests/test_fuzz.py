@@ -126,7 +126,9 @@ _N = st.sampled_from(["-1", "0", "1", "2", "3", "4", "40", str(10**6)])
 _G = st.integers(1, 7).map(str) | st.sampled_from(
     ["-1", "0", "16", "17", str(1 << 40), str(10**6)]
 )
-_G_MAX = st.integers(1, 7).map(str) | st.sampled_from(["-1", "0", "20"])
+_G_MAX = st.integers(1, 7).map(str) | st.sampled_from(
+    ["-1", "0", "20", str(10**12), str(2**63)]
+)
 _G_OR_G_MAX = _flag("--g", _G) | _flag("--g-max", _G_MAX)
 _G_ARGS = _G_OR_G_MAX | st.just(["--g-all"])
 
@@ -193,6 +195,11 @@ _ARGV = _cat(
 @example(["eg", "--n", "40", "--g-all"])
 @example(["eg", "--n", str(10**6), "--g-all"])
 @example(["oracle-clambda", "--n", "3", "--g", "0", "--max-nodes", "5000"])
+@example(["eg", "--g-max", str(10**12)])
+@example(["oracle-eg", "--recipe", "hypercube", "--n", "3", "--g-max", str(10**12),
+          "--max-nodes", "5000"])
+@example(["oracle-clambda", "--recipe", "hypercube", "--n", "3", "--g-max", str(10**12),
+          "--max-nodes", "5000"])
 def test_main_ends_in_an_exit_code_and_one_error_line(cli_files, argv):
     argv = [arg.replace("@/", f"{cli_files}/") for arg in argv]
     stdout, stderr = io.StringIO(), io.StringIO()
