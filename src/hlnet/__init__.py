@@ -43,12 +43,10 @@ from .recipes import (
     Graph,
     Recipe,
     RecipeError,
-    boundary_edges,
     compose,
     dumps_recipe,
     g84,
     hypercube,
-    induced_edge_count,
     leaf,
     load_graph,
     load_recipe,

@@ -232,6 +232,8 @@ def _run_eg(args: argparse.Namespace):
         # min() keeps the shift no wider than g when --n is huge
         if args.n is not None and not 0 <= g <= (1 << min(n, g.bit_length())):
             raise ValueError(f"g={g} out of range for dimension {n}")
+        if g < 0:
+            raise ValueError(f"g={g} must be non-negative")
         rows.append(
             ReportRow(n, g, extremal_edge_count(g), None, None, "ok", clock.lap())
         )

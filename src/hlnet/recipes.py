@@ -322,40 +322,6 @@ def materialize(recipe: Recipe, max_dim: int = MAX_DIM) -> Graph:
     return Graph._from_columns(recipe.dim, reversed(columns))
 
 
-def _check_vertices(graph: Graph, vertices: Iterable[int]) -> set[int]:
-    xs = set(vertices)
-    total = graph.vertex_count
-    for v in xs:
-        if not 0 <= v < total:
-            raise ValueError(f"vertex {v} not in graph with {total} vertices")
-    return xs
-
-
-def induced_edge_count(graph: Graph, vertices: Iterable[int]) -> int:
-    """Number of edges with both endpoints inside the vertex set."""
-    xs = _check_vertices(graph, vertices)
-    inside = 0
-    for v in xs:
-        for w in graph.neighbors(v):
-            if w in xs:
-                inside += 1
-    return inside // 2
-
-
-def boundary_edges(graph: Graph, vertices: Iterable[int]) -> set[tuple[int, int]]:
-    """Edges with exactly one endpoint inside the vertex set.
-
-    For an n-regular graph, n*|X| = |boundary| + 2*|induced| always holds.
-    """
-    xs = _check_vertices(graph, vertices)
-    out: set[tuple[int, int]] = set()
-    for v in xs:
-        for w in graph.neighbors(v):
-            if w not in xs:
-                out.add((v, w) if v < w else (w, v))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # serialization
 
@@ -460,17 +426,27 @@ def _read_text(source: "str | Path | IO[str]") -> str:
     return Path(source).read_text()  # type: ignore[arg-type]
 
 
+def _lines(source: "str | Path | IO[str]") -> Iterator[str]:
+    """Yield the lines of an open stream, or of a path inside its open file."""
+    if hasattr(source, "read"):
+        yield from source  # type: ignore[misc]
+    else:
+        with open(source) as stream:
+            yield from stream
+
+
 def _read_edge_list(
     source: "str | Path | IO[str]", kind: str, keys: tuple[str, ...]
 ) -> tuple[list[int], Iterator[tuple[int, int]]]:
     """Parse an '# hl-<kind> key=value ...' document: the integer values of
     ``keys`` in order, and a lazy iterator over its 'u v' pairs (blank and
-    '#' lines skipped).  Range, order, duplicate and count checks are the
-    loader's."""
-    lines = [ln for ln in map(str.strip, _read_text(source).splitlines()) if ln]
-    if not lines or not lines[0].startswith(f"# hl-{kind}"):
+    '#' lines skipped).  The lines are read as the pairs are drawn.  Range,
+    order, duplicate and count checks are the loader's."""
+    lines = filter(None, map(str.strip, _lines(source)))
+    header = next(lines, "")
+    if not header.startswith(f"# hl-{kind}"):
         raise ValueError(f"{kind} document must start with an '# hl-{kind}' header")
-    fields = dict(part.split("=", 1) for part in lines[0].split() if "=" in part)
+    fields = dict(part.split("=", 1) for part in header.split() if "=" in part)
     try:
         values = [int(fields[key]) for key in keys]
     except (KeyError, ValueError):
@@ -478,7 +454,7 @@ def _read_edge_list(
         raise ValueError(f"{kind} header needs integer {names}") from None
 
     def pairs() -> Iterator[tuple[int, int]]:
-        for ln in lines[1:]:
+        for ln in lines:
             if ln.startswith("#"):
                 continue
             parts = ln.split()
@@ -516,17 +492,21 @@ def load_graph(source: "str | Path | IO[str]") -> Graph:
     # bit_length first: then 1 << n never outgrows the header's vertex count
     if n < 0 or vertices.bit_length() != n + 1 or vertices != 1 << n:
         raise ValueError(f"header claims {vertices} vertices for dim {n}")
-    neighbors: defaultdict[int, set[int]] = defaultdict(set)
-    count = 0
+    neighbors: defaultdict[int, list[int]] = defaultdict(list)
+    label: dict[int, int] = {}  # one shared int object per label, as in materialize
+    overfull: set[tuple[int, int]] = set()  # edges past the n-th entry of their row
     for u, v in pairs:
         if not (0 <= u < v < vertices):
             raise ValueError(f"edge ({u}, {v}) out of range or unordered")
+        u, v = label.setdefault(u, u), label.setdefault(v, v)
         row = neighbors[u]
-        if v in row:
+        if (v in row[:n] or (u, v) in overfull) if len(row) > n else v in row:
             raise ValueError(f"duplicate edge ({u}, {v})")
-        row.add(v)
-        neighbors[v].add(u)
-        count += 1
+        if len(row) >= n:  # such a row fails the degree check; its scans stop at n
+            overfull.add((u, v))
+        row.append(v)
+        neighbors[v].append(u)
+    count = sum(map(len, neighbors.values())) // 2
     if count != edges:
         raise ValueError(f"header claims {edges} edges, found {count}")
     # Graph checks each row's degree as it comes, so with n >= 1 the first

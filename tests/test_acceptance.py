@@ -11,7 +11,6 @@ from hlnet import (
     extremal_edge_count,
     g84,
     hypercube,
-    induced_edge_count,
     isomorphic_small,
     materialize,
     max_induced_edges,
@@ -24,6 +23,8 @@ from hlnet import (
 )
 from hlnet.cli import main
 from hlnet.reports import emit_report
+
+from helpers import induced_edge_count
 
 SEEDS = (11, 23, 37, 58, 71)
 

@@ -529,6 +529,21 @@ def test_g_max_too_large_is_one_usage_error_line(argv, message, capsys):
     assert captured.err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["eg", "--g", "-5"], "g=-5 must be non-negative"),
+        (["eg", "--n", "3", "--g", "-5"], "g=-5 out of range for dimension 3"),
+    ],
+    ids=["without-n", "with-n"],
+)
+def test_eg_negative_g_is_reported_as_g(argv, message, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_eg_reads_n_zero_as_given(capsys):
     assert main(["eg", "--n", "0", "--g", "5"]) == 2
     assert capsys.readouterr().err == "error: g=5 out of range for dimension 0\n"

@@ -8,13 +8,11 @@ from hlnet import (
     CutReport,
     Graph,
     binary_decomposition,
-    boundary_edges,
     build_component_cut,
     components_after,
     extremal_edge_count,
     g84,
     hypercube,
-    induced_edge_count,
     load_cut,
     load_graph,
     materialize,
@@ -24,6 +22,8 @@ from hlnet import (
     select_extremal_subgraph,
     verify_cut,
 )
+
+from helpers import boundary_edges, induced_edge_count
 
 
 # --- extremal selection -----------------------------------------------------

@@ -2,7 +2,6 @@ import pytest
 
 from hlnet import (
     SearchLimits,
-    boundary_edges,
     build_component_cut,
     component_edge_connectivity,
     components_after,
@@ -16,6 +15,8 @@ from hlnet import (
     random_hl,
     save_partition,
 )
+
+from helpers import boundary_edges
 
 
 def naive_min_cut(graph, parts):

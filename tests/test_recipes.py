@@ -1,8 +1,12 @@
+import gc
 import hashlib
 import io
 import json
 import re
+import sys
+import time
 import tracemalloc
+import warnings
 
 import pytest
 from hypothesis import given, settings
@@ -12,12 +16,10 @@ from hlnet import (
     Graph,
     Recipe,
     RecipeError,
-    boundary_edges,
     compose,
     dumps_recipe,
     g84,
     hypercube,
-    induced_edge_count,
     isomorphic_small,
     leaf,
     load_cut,
@@ -31,6 +33,8 @@ from hlnet import (
     split,
     verify_cut,
 )
+
+from helpers import boundary_edges, induced_edge_count
 
 Q4 = materialize(hypercube(4))
 G84 = materialize(g84())
@@ -531,6 +535,13 @@ def test_save_graph_streams_the_document(tmp_path):
     assert peak < 1 << 20
 
 
+def test_load_graph_streams_the_document(tmp_path):
+    path = tmp_path / "g12.edges"
+    save_graph(materialize(random_hl(12, 0)), path)
+    peak = _traced_peak(lambda: load_graph(path))
+    assert peak < 3 << 20
+
+
 def test_load_rejects_documents_nested_too_deeply(deep_recipe_doc):
     with pytest.raises(RecipeError) as exc:
         loads_recipe(deep_recipe_doc)
@@ -598,6 +609,46 @@ def test_graph_file_round_trip(tmp_path):
     assert list(loaded.edges()) == list(g.edges())
     header = path.read_text().splitlines()[0]
     assert header == "# hl-graph n=4 vertices=16 edges=32"
+
+
+ROUND_TRIP_RECIPES = [hypercube(n) for n in range(1, 9)] + [
+    random_hl(n, seed) for n in range(1, 10) for seed in range(4)
+]
+
+
+@pytest.mark.parametrize("recipe", ROUND_TRIP_RECIPES)
+def test_graph_file_round_trip_keeps_every_neighbor_row(recipe, tmp_path):
+    graph = materialize(recipe)
+    path = tmp_path / "g.edges"
+    save_graph(graph, path)
+    loaded = load_graph(path)
+    assert (loaded.n, loaded.vertex_count) == (graph.n, graph.vertex_count)
+    for v in range(graph.vertex_count):
+        assert loaded.neighbors(v) == graph.neighbors(v)
+
+
+@pytest.mark.parametrize(
+    "loader, doc, message",
+    [
+        (load_graph, "# hl-graph n=2 vertices=4 edges=4\n0 1\n0 2\n1 x\n", "invalid literal"),
+        (load_graph, "\n# hl-cut n=2 g=1 size=1\n0 1\n", "must start with"),
+        (load_cut, "# hl-cut n=2 g=1 size=2\n0 1\n0 2 3\n", "malformed edge line"),
+    ],
+    ids=["graph-bad-line", "graph-bad-header", "cut-bad-line"],
+)
+def test_edge_list_path_that_fails_leaves_no_open_file(
+    loader, doc, message, tmp_path, monkeypatch
+):
+    path = tmp_path / "bad.edges"
+    path.write_text(doc)
+    unraisable = []  # a file finalized while open warns from its finalizer
+    monkeypatch.setattr(sys, "unraisablehook", unraisable.append)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        with pytest.raises(ValueError, match=message):
+            loader(path)
+        gc.collect()
+    assert unraisable == []
 
 
 def test_graph_load_rejects_bad_degree(tmp_path):
@@ -699,3 +750,23 @@ def test_graph_with_huge_claimed_dimension_reports_first_short_vertex():
     doc = "# hl-graph n=40 vertices=1099511627776 edges=2\n0 1\n2 3\n"
     with pytest.raises(ValueError, match=r"^vertex 0 has degree 1, expected 40$"):
         load_graph(io.StringIO(doc))
+
+
+@pytest.mark.parametrize("repeat", ["0 1", "0 3"])
+def test_graph_duplicate_on_a_row_past_n_entries_is_still_a_duplicate(repeat):
+    doc = f"# hl-graph n=2 vertices=4 edges=4\n0 1\n0 2\n0 3\n{repeat}\n"
+    with pytest.raises(ValueError) as exc:
+        load_graph(io.StringIO(doc))
+    assert str(exc.value) == f"duplicate edge ({repeat.replace(' ', ', ')})"
+
+
+def test_graph_hub_vertex_costs_time_linear_in_its_edges():
+    # a duplicate scan over the whole row would compare about 1.25e9 pairs here
+    m = 50_000
+    doc = f"# hl-graph n=40 vertices={1 << 40} edges={m}\n" + "".join(
+        f"0 {v}\n" for v in range(1, m + 1)
+    )
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=rf"^vertex 0 has degree {m}, expected 40$"):
+        load_graph(io.StringIO(doc))
+    assert time.perf_counter() - start < 1.5
