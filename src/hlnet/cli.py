@@ -10,13 +10,10 @@ from __future__ import annotations
 import argparse
 import sys
 import time
+from dataclasses import replace
 
 from .construction import CutReport, build_component_cut, load_cut, save_cut, verify_cut
-from .formulas import (
-    component_edge_connectivity,
-    extremal_edge_count,
-    run_property_suite,
-)
+from .formulas import component_edge_connectivity, extremal_edge_count, run_property_suite
 from .oracles import (
     COMPLETE,
     SearchLimits,
@@ -138,7 +135,7 @@ def _add_limit_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--time-budget", type=float, help="search time budget in seconds")
 
 
-def _resolve_recipe(args: argparse.Namespace) -> tuple[Recipe, int]:
+def _resolve_recipe(args: argparse.Namespace) -> Recipe:
     source = args.recipe
     if source.startswith("file:"):
         recipe = load_recipe(source[5:])
@@ -146,11 +143,11 @@ def _resolve_recipe(args: argparse.Namespace) -> tuple[Recipe, int]:
             raise ValueError(
                 f"--n {args.n} does not match recipe file dim {recipe.dim}"
             )
-        return recipe, recipe.dim
+        return recipe
     if source == "g84":
         if args.n not in (None, 3):
             raise ValueError("g84 is a dim-3 recipe; drop --n or pass --n 3")
-        return g84(), 3
+        return g84()
     seed = args.seed
     name = source
     if source.startswith("random:"):
@@ -164,8 +161,8 @@ def _resolve_recipe(args: argparse.Namespace) -> tuple[Recipe, int]:
     if args.n is None:
         raise ValueError(f"--n is required with the {name} recipe")
     if name == "hypercube":
-        return hypercube(args.n, max_dim=args.max_dim), args.n
-    return random_hl(args.n, seed, max_dim=args.max_dim), args.n
+        return hypercube(args.n, max_dim=args.max_dim)
+    return random_hl(args.n, seed, max_dim=args.max_dim)
 
 
 def _g_range(args: argparse.Namespace, n: "int | None") -> range:
@@ -181,16 +178,9 @@ def _g_range(args: argparse.Namespace, n: "int | None") -> range:
     return range(1, (1 << n) + 1)
 
 
-class _Clock:
-    def __init__(self, enabled: bool) -> None:
-        self.enabled = enabled
-        self._t0 = time.monotonic()
-
-    def lap(self) -> int:
-        now = time.monotonic()
-        ms = int((now - self._t0) * 1000)
-        self._t0 = now
-        return ms if self.enabled else 0
+def _check_guard(flag: str, value: int) -> None:
+    if value > 1 << MAX_DIM:
+        raise ValueError(f"{flag} {value} exceeds the guard 2^{MAX_DIM} = {1 << MAX_DIM}")
 
 
 def _exit_code(rows) -> int:
@@ -207,13 +197,14 @@ def _exit_code(rows) -> int:
 
 
 def _run_gen(args: argparse.Namespace):
-    recipe, _ = _resolve_recipe(args)
+    recipe = _resolve_recipe(args)
     if args.recipe_out:
         save_recipe(recipe, args.recipe_out)
     if args.graph_out:
         save_graph(materialize(recipe, max_dim=args.max_dim), args.graph_out)
     if not args.recipe_out and not args.graph_out:
         save_recipe(recipe, args.out or sys.stdout)
+    return ()
 
 
 def _run_eg(args: argparse.Namespace):
@@ -222,27 +213,20 @@ def _run_eg(args: argparse.Namespace):
         raise ValueError(f"--n must be non-negative, got {n}")
     if args.g_all:
         _check_dim(n, MAX_DIM)
-    elif (args.g_max or 0) > 1 << MAX_DIM:
-        raise ValueError(
-            f"--g-max {args.g_max} exceeds the guard 2^{MAX_DIM} = {1 << MAX_DIM}"
-        )
-    rows = []
-    clock = _Clock(args.timing)
+    else:
+        _check_guard("--g-max", args.g_max or 0)
     for g in _g_range(args, args.n):
         # min() keeps the shift no wider than g when --n is huge
         if args.n is not None and not 0 <= g <= (1 << min(n, g.bit_length())):
             raise ValueError(f"g={g} out of range for dimension {n}")
         if g < 0:
             raise ValueError(f"g={g} must be non-negative")
-        rows.append(
-            ReportRow(n, g, extremal_edge_count(g), None, None, "ok", clock.lap())
-        )
-    return rows
+        yield ReportRow(n, g, extremal_edge_count(g), None, None, "ok")
 
 
 def _run_cut(args: argparse.Namespace):
-    recipe, n = _resolve_recipe(args)
-    g = args.g
+    recipe = _resolve_recipe(args)
+    n, g = recipe.dim, args.g
     bound = component_edge_connectivity(n, g, args.mode)
     if not bound.proven:
         print(
@@ -250,13 +234,12 @@ def _run_cut(args: argparse.Namespace):
             "g <= 2^ceil(n/2)); the value is an upper bound only",
             file=sys.stderr,
         )
-    clock = _Clock(args.timing)
     graph = materialize(recipe, max_dim=args.max_dim)
     cut = build_component_cut(recipe, g)
     report = verify_cut(graph, cut)
     if args.cut_out:
         save_cut(cut, n, g, args.cut_out)
-    return _cut_rows(n, g, report, clock)
+    return [_cut_row(n, g, bound.value, report)]
 
 
 def _run_verify(args: argparse.Namespace):
@@ -266,14 +249,12 @@ def _run_verify(args: argparse.Namespace):
         raise ValueError(f"cut header dim {n} does not match graph dim {graph.n}")
     if args.g is not None:
         g = args.g
-    clock = _Clock(args.timing)
-    report = verify_cut(graph, cut)
-    return _cut_rows(graph.n, g, report, clock)
+    predicted = component_edge_connectivity(n, g, "permissive").value
+    return [_cut_row(n, g, predicted, verify_cut(graph, cut))]
 
 
-def _cut_rows(n: int, g: int, report: CutReport, clock: _Clock) -> list[ReportRow]:
-    """The one report row of cut and verify, and the one check of n*g - e(g)."""
-    predicted = n * g - extremal_edge_count(g)
+def _cut_row(n: int, g: int, predicted: int, report: CutReport) -> ReportRow:
+    """The one report row of cut and verify: the cut against n*g - e(g)."""
     if report.cut_size != predicted:
         token = "size-mismatch"
     elif report.component_count < g + 1:
@@ -284,16 +265,14 @@ def _cut_rows(n: int, g: int, report: CutReport, clock: _Clock) -> list[ReportRo
         f"{token};components={report.component_count};"
         f"isolated={report.isolated_count}"
     )
-    return [ReportRow(n, g, predicted, report.cut_size, None, status, clock.lap())]
+    return ReportRow(n, g, predicted, report.cut_size, None, status)
 
 
 def _run_oracle_eg(args: argparse.Namespace):
     limits = SearchLimits(args.max_nodes, args.time_budget)
-    recipe, n = _resolve_recipe(args)
-    gs = _g_range(args, n)
+    recipe = _resolve_recipe(args)
+    gs = _g_range(args, recipe.dim)
     graph = materialize(recipe, max_dim=args.max_dim)
-    rows = []
-    clock = _Clock(args.timing)
     for g in gs:
         formula = extremal_edge_count(g)
         result = max_induced_edges(graph, g, limits)
@@ -303,21 +282,19 @@ def _run_oracle_eg(args: argparse.Namespace):
             status = "ok"
         else:
             status = "mismatch"
-        rows.append(ReportRow(n, g, formula, None, result.value, status, clock.lap()))
-    return rows
+        yield ReportRow(recipe.dim, g, formula, None, result.value, status)
 
 
 def _run_oracle_clambda(args: argparse.Namespace):
     limits = SearchLimits(args.max_nodes, args.time_budget)
-    recipe, n = _resolve_recipe(args)
+    recipe = _resolve_recipe(args)
+    n = recipe.dim
     gs = _g_range(args, n)
     if gs[0] < 1:
         raise ValueError(f"--g must be at least 1, got {gs[0]}")
     if args.witness_out and args.g is None:
         raise ValueError("--witness-out needs a single --g")
     graph = materialize(recipe, max_dim=args.max_dim)
-    rows = []
-    clock = _Clock(args.timing)
     for g in gs:
         bound = component_edge_connectivity(n, g, "permissive").value
         result = min_component_edge_cut(graph, g + 1, limits)
@@ -329,13 +306,14 @@ def _run_oracle_clambda(args: argparse.Namespace):
             status = "equal"
         else:
             status = "gap"
-        rows.append(ReportRow(n, g, bound, None, result.value, status, clock.lap()))
         if args.witness_out:
             save_partition(result.witness, args.witness_out)
-    return rows
+        yield ReportRow(n, g, bound, None, result.value, status)
 
 
 def _run_suite(args: argparse.Namespace):
+    _check_guard("--g-max", args.g_max)
+    _check_guard("--i-max", args.i_max)
     checks = run_property_suite(
         g_max=args.g_max,
         slack_n_max=args.n_max,
@@ -361,15 +339,23 @@ def main(argv: "list[str] | None" = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     try:
-        rows = args.handler(args)
-        if rows is not None:
+        # every row is drawn before any is emitted, so an error leaves no report
+        rows = []
+        start = time.monotonic()
+        for row in args.handler(args):
+            if args.timing and isinstance(row, ReportRow):
+                now = time.monotonic()
+                row = replace(row, elapsed_ms=int((now - start) * 1000))
+                start = now
+            rows.append(row)
+        if rows:
             text = emit_report(rows, args.format)
             if args.out:
                 with open(args.out, "w") as fh:
                     fh.write(text)
             else:
                 sys.stdout.write(text)
-        return _exit_code(rows or [])
+        return _exit_code(rows)
     except (ValueError, OSError) as exc:  # RecipeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

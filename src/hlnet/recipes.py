@@ -509,6 +509,7 @@ def load_graph(source: "str | Path | IO[str]") -> Graph:
     count = sum(map(len, neighbors.values())) // 2
     if count != edges:
         raise ValueError(f"header claims {edges} edges, found {count}")
+    del label  # Graph builds its own label table; free this one first
     # Graph checks each row's degree as it comes, so with n >= 1 the first
     # vertex no edge touches ends the scan
     return Graph(n, (neighbors.get(v, ()) for v in range(vertices)))

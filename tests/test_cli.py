@@ -179,6 +179,59 @@ def test_verify_reports_a_cut_of_the_right_size_that_leaves_too_few_components(
     assert lines[1] == "3,1,3,3,,components-short;components=1;isolated=0,0"
 
 
+@pytest.fixture
+def dim4_graph_and_cut(tmp_path, capsys):
+    """An n = 4 edge list and the g = 3 cut of it, as verify arguments."""
+    graph_path = tmp_path / "g.edges"
+    cut_path = tmp_path / "c.edges"
+    main(["gen", "--n", "4", "--graph-out", str(graph_path)])
+    main(["cut", "--n", "4", "--g", "3", "--mode", "permissive", "--cut-out", str(cut_path)])
+    capsys.readouterr()
+    return ["verify", "--graph", str(graph_path), "--cut", str(cut_path)]
+
+
+@pytest.mark.parametrize(
+    "header_g, argv, g",
+    [
+        ("3", ["--g", "16"], "16"),
+        ("3", ["--g", "-1"], "-1"),
+        ("3", ["--g", "100000"], "100000"),
+        ("-3", [], "-3"),
+    ],
+    ids=["flag-2^n", "flag-negative", "flag-huge", "header-negative"],
+)
+def test_verify_rejects_g_outside_the_dimension(
+    header_g, argv, g, dim4_graph_and_cut, capsys
+):
+    cut_path = dim4_graph_and_cut[-1]
+    with open(cut_path) as fh:
+        text = fh.read()
+    with open(cut_path, "w") as fh:
+        fh.write(text.replace(" g=3 ", f" g={header_g} ", 1))
+    assert main(dim4_graph_and_cut + argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: g={g} out of range for dimension 4\n"
+
+
+def test_verify_g_zero_is_a_size_mismatch(dim4_graph_and_cut, capsys):
+    assert main(dim4_graph_and_cut + ["--g", "0", "--format", "csv"]) == 1
+    assert capsys.readouterr().out.splitlines()[1] == (
+        "4,0,0,10,,size-mismatch;components=4;isolated=3,0"
+    )
+
+
+def test_verify_rejects_a_dimension_zero_graph(tmp_path, capsys):
+    graph_path = tmp_path / "g.edges"
+    cut_path = tmp_path / "c.edges"
+    graph_path.write_text("# hl-graph n=0 vertices=1 edges=0\n")
+    cut_path.write_text("# hl-cut n=0 g=0 size=0\n")
+    assert main(["verify", "--graph", str(graph_path), "--cut", str(cut_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: dimension must be >= 1, got 0\n"
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -205,6 +258,21 @@ def test_timing_only_fills_elapsed_ms(argv, tmp_path, capsys):
         assert type(elapsed) is int and elapsed >= 0
         assert plain.pop("elapsed_ms") == 0
         assert row == plain
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--n", "3", "--recipe", "random:seed=4"],
+        ["suite", "--g-max", "64", "--i-max", "128", "--format", "json"],
+    ],
+    ids=["gen", "suite"],
+)
+def test_timing_leaves_reports_without_elapsed_ms_alone(argv, capsys):
+    assert main(argv) == 0
+    plain = capsys.readouterr().out
+    assert main(argv + ["--timing"]) == 0
+    assert capsys.readouterr().out == plain != ""
 
 
 def test_cut_strict_mode_rejects_small_dims(capsys):
@@ -519,10 +587,21 @@ HUGE = str(10**12)
         (["oracle-eg", "--n", "3", "--g-max", HUGE], "k=9 out of range 1..8"),
         (["oracle-clambda", "--n", "3", "--g-max", HUGE],
          "g=8 out of range for dimension 3"),
+        (["suite", "--g-max", HUGE], f"--g-max {HUGE} exceeds the guard 2^20 = 1048576"),
+        (["suite", "--i-max", HUGE], f"--i-max {HUGE} exceeds the guard 2^20 = 1048576"),
+        (["suite", "--g-max", "1048577"],
+         "--g-max 1048577 exceeds the guard 2^20 = 1048576"),
     ],
-    ids=["eg", "eg-n40", "eg-above-guard", "oracle-eg", "oracle-clambda"],
+    ids=[
+        "eg", "eg-n40", "eg-above-guard", "oracle-eg", "oracle-clambda",
+        "suite-g-max", "suite-i-max", "suite-above-guard",
+    ],
 )
-def test_g_max_too_large_is_one_usage_error_line(argv, message, capsys):
+def test_g_max_too_large_is_one_usage_error_line(argv, message, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("the property suite starts before its ranges are checked")
+
+    monkeypatch.setattr("hlnet.cli.run_property_suite", fail)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""

@@ -91,6 +91,19 @@ def test_increment_stays_below_dimension(n):
         assert extremal_edge_increment(i) < n
 
 
+def test_extremal_complement_identity():
+    # e(2^n - g) = n*2^(n-1) - n*g + e(g): in an n-regular network the other
+    # 2^n - g vertices induce |E| - n*g + e(g) edges
+    table = list(map(extremal_edge_count, range((1 << 16) + 1)))
+    cases = 0
+    for n in range(17):
+        size = 1 << n
+        expected = [(n << n >> 1) - n * g + e for g, e in enumerate(table[: size + 1])]
+        assert table[size::-1] == expected, f"n={n}"
+        cases += size + 1
+    assert cases == 131_088
+
+
 # --- component edge connectivity ---------------------------------------------
 
 
