@@ -314,6 +314,8 @@ def _run_oracle_clambda(args: argparse.Namespace):
 def _run_suite(args: argparse.Namespace):
     _check_guard("--g-max", args.g_max)
     _check_guard("--i-max", args.i_max)
+    _check_guard("--n-max", args.n_max)
+    _check_guard("--n-max-mono", args.n_max_mono)
     checks = run_property_suite(
         g_max=args.g_max,
         slack_n_max=args.n_max,

@@ -1,10 +1,12 @@
 """Brute-force ground truth for small graphs.
 
 Everything here is deliberately independent of the closed-form machinery:
-the subset search and the partition search use only structural bounds (a
-new vertex gains at most min(|chosen|, max degree) edges; opening a new
-partition block at vertex v costs exactly v's back-edges), so their answers
-can validate the formulas without circularity.
+the subset search and the partition search use only structural bounds read
+from degrees (a future pick gains its edges to the chosen set plus at most
+min(picks left - 1, its degree into the undecided vertices) edges among the
+other picks, each counted at half weight; opening a new partition block at
+vertex v costs exactly v's back-edges), so their answers can validate the
+formulas without circularity.
 
 Both searches are anytime.  When a node or time budget runs out they return
 the incumbent with status "incomplete": a lower bound for the subset search
@@ -115,9 +117,14 @@ def max_induced_edges(
     """Exact maximum of |E(G[X])| over all |X| = k, by pruned subset DFS.
 
     Vertices are considered in label order, include-branch first, so the
-    reported witness is the lexicographically smallest optimum.  The pruning
-    bound charges at most min(|chosen so far|, max degree) edges per future
-    pick, which never appeals to the closed-form value under test.
+    reported witness is the lexicographically smallest optimum.  Two bounds
+    prune, and both read only degrees, never the closed-form value under
+    test: a cheap one charges at most min(|chosen so far|, max degree) edges
+    per future pick; when it fails, a tighter one gives each undecided vertex
+    w the score 2|N(w) ∩ chosen| + min(r - 1, |N(w) ∩ undecided|) and
+    charges half the sum of the r largest scores, r being the picks left.
+    Both prune only branches that cannot strictly beat the incumbent, so the
+    witness stays the smallest optimum.
     """
     total = graph.vertex_count
     if not 1 <= k <= total:
@@ -131,6 +138,11 @@ def max_induced_edges(
     gain_tail = [0] * (k + 1)
     for c in range(k - 1, -1, -1):
         gain_tail[c] = gain_tail[c + 1] + min(c, graph.n)
+    # pool_degree[v][w - v] = |N(w) ∩ {v..total-1}|: the undecided vertices
+    # at depth v are the pool a pick w shares edges with
+    pool_degree = [
+        [(masks[w] >> v).bit_count() for w in range(v, total)] for v in range(total)
+    ]
 
     # the first k labels seed the incumbent; they are also the smallest
     # possible witness, so later strict improvements keep the tie-break
@@ -149,6 +161,18 @@ def max_induced_edges(
         if total - v < k - count:
             return
         if value + gain_tail[count] <= best:
+            return
+        # r pool picks F gain sum_{w in F} (2|N(w) ∩ chosen| + |N(w) ∩ F|) / 2
+        # edges, and each |N(w) ∩ F| <= min(r - 1, |N(w) ∩ pool|)
+        r = k - count
+        gains = sorted(
+            (
+                2 * (masks[w] & chosen).bit_count() + min(r - 1, d)
+                for w, d in enumerate(pool_degree[v], v)
+            ),
+            reverse=True,
+        )
+        if value + sum(gains[:r]) // 2 <= best:
             return
         if not budget.spend():
             return

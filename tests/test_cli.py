@@ -589,12 +589,16 @@ HUGE = str(10**12)
          "g=8 out of range for dimension 3"),
         (["suite", "--g-max", HUGE], f"--g-max {HUGE} exceeds the guard 2^20 = 1048576"),
         (["suite", "--i-max", HUGE], f"--i-max {HUGE} exceeds the guard 2^20 = 1048576"),
+        (["suite", "--n-max", HUGE], f"--n-max {HUGE} exceeds the guard 2^20 = 1048576"),
+        (["suite", "--n-max-mono", HUGE],
+         f"--n-max-mono {HUGE} exceeds the guard 2^20 = 1048576"),
         (["suite", "--g-max", "1048577"],
          "--g-max 1048577 exceeds the guard 2^20 = 1048576"),
     ],
     ids=[
         "eg", "eg-n40", "eg-above-guard", "oracle-eg", "oracle-clambda",
-        "suite-g-max", "suite-i-max", "suite-above-guard",
+        "suite-g-max", "suite-i-max", "suite-n-max", "suite-n-max-mono",
+        "suite-above-guard",
     ],
 )
 def test_g_max_too_large_is_one_usage_error_line(argv, message, monkeypatch, capsys):

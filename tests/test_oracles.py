@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import pytest
 
 from hlnet import (
@@ -45,6 +47,18 @@ def naive_min_cut(graph, parts):
     return best
 
 
+def naive_max_edges(graph, k):
+    """Unpruned scan of every k-subset in order; the first densest one wins."""
+    masks = graph.neighbor_masks()
+    best = None
+    for subset in combinations(range(graph.vertex_count), k):
+        mask = sum(1 << v for v in subset)
+        value = sum((masks[v] & mask).bit_count() for v in subset) // 2
+        if best is None or value > best[0]:
+            best = (value, subset)
+    return best
+
+
 # --- max induced edges --------------------------------------------------------
 
 
@@ -87,6 +101,34 @@ def test_max_edges_budget_incomplete(q4):
     result = max_induced_edges(q4, 8, SearchLimits(max_nodes_expanded=3))
     assert result.status == "incomplete"
     assert result.value <= max_induced_edges(q4, 8).value
+
+
+@pytest.mark.parametrize(
+    "recipe",
+    [pytest.param(g84(), id="g84")]
+    + [pytest.param(hypercube(n), id=f"hypercube-{n}") for n in range(1, 5)]
+    + [
+        pytest.param(random_hl(n, s), id=f"random-{n}-{s}")
+        for n in range(1, 5)
+        for s in (0, 1, 2)
+    ],
+)
+def test_max_edges_matches_naive(recipe):
+    graph = materialize(recipe)
+    for k in range(1, graph.vertex_count + 1):
+        result = max_induced_edges(graph, k)
+        assert result.status == "complete"
+        assert (result.value, result.witness) == naive_max_edges(graph, k)
+
+
+@pytest.mark.parametrize("seed", [0, 777])
+def test_max_edges_n5_fits_a_small_node_budget(seed):
+    # the degree bound settles k = 8 at n = 5 in about 10^4 nodes; the
+    # min(|chosen|, n) bound alone needs about 2 * 10^6
+    graph = materialize(random_hl(5, seed))
+    result = max_induced_edges(graph, 8, SearchLimits(max_nodes_expanded=100_000))
+    assert result.status == "complete"
+    assert result.value == 12
 
 
 def test_time_budget_zero_is_exhausted_immediately(q4):
