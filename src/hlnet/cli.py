@@ -165,17 +165,28 @@ def _resolve_recipe(args: argparse.Namespace) -> Recipe:
     return random_hl(args.n, seed, max_dim=args.max_dim)
 
 
+# command -> (lowest g, highest g minus 2^n): the g each accepts at dimension n
+_G_DOMAIN = {"eg": (0, 0), "cut": (1, -1), "verify": (0, -1),
+             "oracle-eg": (1, 0), "oracle-clambda": (1, -1)}
+
+
 def _g_range(args: argparse.Namespace, n: "int | None") -> range:
-    if args.g is not None:
-        return range(args.g, args.g + 1)
-    if args.g_max is not None:
-        if args.g_max < 1:
-            raise ValueError(f"--g-max must be at least 1, got {args.g_max}")
-        return range(1, args.g_max + 1)
-    # argparse requires one of --g, --g-max, --g-all
-    if n is None:
-        raise ValueError("--g-all needs a dimension")
-    return range(1, (1 << n) + 1)
+    g, g_max = args.g, getattr(args, "g_max", None)
+    if g_max is not None and g_max < 1:
+        raise ValueError(f"--g-max must be at least 1, got {g_max}")
+    if g is None and g_max is None:  # --g-all, as argparse requires one of the three
+        if n is None:
+            raise ValueError("--g-all needs a dimension")
+        _check_dim(n, MAX_DIM)
+    gs = range(g, g + 1) if g is not None else range(1, (g_max or 1 << n) + 1)
+    lo, top = _G_DOMAIN[args.command]
+    # no upper end without n; the shift is capped (huge n) and floored (a cut's n < 0)
+    hi = gs[-1] if n is None else (1 << min(max(n, 0), gs[-1].bit_length() + 1)) + top
+    if lo <= gs[0] and gs[-1] <= hi:
+        return gs
+    bad = gs[0] if not lo <= gs[0] <= hi else hi + 1
+    what = "must be non-negative" if n is None else f"out of range for dimension {n}"
+    raise ValueError(f"g={bad} {what}")
 
 
 def _check_guard(flag: str, value: int) -> None:
@@ -211,22 +222,14 @@ def _run_eg(args: argparse.Namespace):
     n = args.n or 0
     if n < 0:
         raise ValueError(f"--n must be non-negative, got {n}")
-    if args.g_all:
-        _check_dim(n, MAX_DIM)
-    else:
-        _check_guard("--g-max", args.g_max or 0)
+    _check_guard("--g-max", args.g_max or 0)
     for g in _g_range(args, args.n):
-        # min() keeps the shift no wider than g when --n is huge
-        if args.n is not None and not 0 <= g <= (1 << min(n, g.bit_length())):
-            raise ValueError(f"g={g} out of range for dimension {n}")
-        if g < 0:
-            raise ValueError(f"g={g} must be non-negative")
         yield ReportRow(n, g, extremal_edge_count(g), None, None, "ok")
 
 
 def _run_cut(args: argparse.Namespace):
     recipe = _resolve_recipe(args)
-    n, g = recipe.dim, args.g
+    n, (g,) = recipe.dim, _g_range(args, recipe.dim)
     bound = component_edge_connectivity(n, g, args.mode)
     if not bound.proven:
         print(
@@ -243,12 +246,12 @@ def _run_cut(args: argparse.Namespace):
 
 
 def _run_verify(args: argparse.Namespace):
-    graph = load_graph(args.graph_path)
     cut, n, g = load_cut(args.cut_path)
+    args.g = g if args.g is None else args.g
+    (g,) = _g_range(args, n)
+    graph = load_graph(args.graph_path)
     if n != graph.n:
         raise ValueError(f"cut header dim {n} does not match graph dim {graph.n}")
-    if args.g is not None:
-        g = args.g
     predicted = component_edge_connectivity(n, g, "permissive").value
     return [_cut_row(n, g, predicted, verify_cut(graph, cut))]
 
@@ -290,8 +293,6 @@ def _run_oracle_clambda(args: argparse.Namespace):
     recipe = _resolve_recipe(args)
     n = recipe.dim
     gs = _g_range(args, n)
-    if gs[0] < 1:
-        raise ValueError(f"--g must be at least 1, got {gs[0]}")
     if args.witness_out and args.g is None:
         raise ValueError("--witness-out needs a single --g")
     graph = materialize(recipe, max_dim=args.max_dim)
@@ -312,10 +313,8 @@ def _run_oracle_clambda(args: argparse.Namespace):
 
 
 def _run_suite(args: argparse.Namespace):
-    _check_guard("--g-max", args.g_max)
-    _check_guard("--i-max", args.i_max)
-    _check_guard("--n-max", args.n_max)
-    _check_guard("--n-max-mono", args.n_max_mono)
+    for flag in ("--g-max", "--i-max", "--n-max", "--n-max-mono"):
+        _check_guard(flag, getattr(args, flag[2:].replace("-", "_")))
     checks = run_property_suite(
         g_max=args.g_max,
         slack_n_max=args.n_max,

@@ -1,8 +1,9 @@
+import argparse
 import json
 
 import pytest
 
-from hlnet.cli import _exit_code, main
+from hlnet.cli import _build_parser, _exit_code, main
 from hlnet.reports import ReportRow, emit_report
 
 
@@ -548,14 +549,14 @@ def test_oracle_clambda_single_g_below_one_is_a_usage_error(g, monkeypatch, caps
     assert main(["oracle-clambda", "--n", "4", "--g", g]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"error: --g must be at least 1, got {g}\n"
+    assert captured.err == f"error: g={g} out of range for dimension 4\n"
 
 
 def test_g_zero_keeps_its_meaning_outside_oracle_clambda(capsys):
     assert main(["eg", "--g", "0", "--format", "csv"]) == 0
     assert capsys.readouterr().out.splitlines()[1] == "0,0,0,,,ok,0"
     assert main(["oracle-eg", "--n", "3", "--g", "0"]) == 2
-    assert capsys.readouterr().err == "error: k=0 out of range 1..8\n"
+    assert capsys.readouterr().err == "error: g=0 out of range for dimension 3\n"
 
 
 @pytest.mark.parametrize("n", ["21", "30", "40", str(10**6)])
@@ -584,7 +585,8 @@ HUGE = str(10**12)
         (["eg", "--n", "40", "--g-max", HUGE],
          f"--g-max {HUGE} exceeds the guard 2^20 = 1048576"),
         (["eg", "--g-max", "1048577"], "--g-max 1048577 exceeds the guard 2^20 = 1048576"),
-        (["oracle-eg", "--n", "3", "--g-max", HUGE], "k=9 out of range 1..8"),
+        (["oracle-eg", "--n", "3", "--g-max", HUGE],
+         "g=9 out of range for dimension 3"),
         (["oracle-clambda", "--n", "3", "--g-max", HUGE],
          "g=8 out of range for dimension 3"),
         (["suite", "--g-max", HUGE], f"--g-max {HUGE} exceeds the guard 2^20 = 1048576"),
@@ -633,3 +635,124 @@ def test_eg_reads_n_zero_as_given(capsys):
     for g in ("0", "1"):
         assert main(["eg", "--n", "0", "--g", g, "--format", "csv"]) == 0
         assert capsys.readouterr().out.splitlines()[1] == f"0,{g},0,,,ok,0"
+
+
+# command -> (argv before the g flags, dimension, lowest g, highest g or None);
+# verify's argv and its n = 4 files come from the dim4_graph_and_cut fixture
+G_DOMAINS = {
+    "eg": (["eg", "--n", "3"], 3, 0, 8),
+    "eg-without-n": (["eg"], None, 0, None),
+    "cut": (["cut", "--n", "4", "--mode", "permissive"], 4, 1, 15),
+    "verify": (None, 4, 0, 15),
+    "oracle-eg": (["oracle-eg", "--n", "3"], 3, 1, 8),
+    "oracle-clambda": (["oracle-clambda", "--n", "3"], 3, 1, 7),
+}
+
+
+@pytest.mark.parametrize("name", list(G_DOMAINS))
+def test_g_outside_the_domain_exits_before_any_work(
+    name, dim4_graph_and_cut, monkeypatch, capsys
+):
+    """One step past either end of the domain, through every flag that sets g,
+    exits 2 with one line before a graph is built or loaded or a search runs;
+    both ends themselves still reach the library and report."""
+    prefix, n, lo, hi = G_DOMAINS[name]
+    prefix = prefix or dim4_graph_and_cut
+    cut_path = dim4_graph_and_cut[-1]
+    with open(cut_path) as fh:
+        cut_text = fh.read()
+    has_g_max = name not in ("cut", "verify")
+
+    def run(argv, header_g):
+        with open(cut_path, "w") as fh:
+            fh.write(cut_text.replace(" g=3 ", f" g={header_g} ", 1))
+        return main(prefix + argv + ["--format", "csv"]), capsys.readouterr()
+
+    def out_of_range(g):
+        if n is None:
+            return f"g={g} must be non-negative"
+        return f"g={g} out of range for dimension {n}"
+
+    # (argv, cut header g, expected error); header g 3 is the fixture's own
+    inside = [(["--g", str(lo)], 3)]
+    outside = [(["--g", str(lo - 1)], 3, out_of_range(lo - 1))]
+    if has_g_max:
+        outside.append(
+            (["--g-max", str(lo - 1)], 3, f"--g-max must be at least 1, got {lo - 1}")
+        )
+    if hi is not None:
+        inside.append((["--g", str(hi)], 3))
+        outside.append((["--g", str(hi + 1)], 3, out_of_range(hi + 1)))
+        if has_g_max:
+            inside.append((["--g-max", str(hi)], 3))
+            outside.append((["--g-max", str(hi + 1)], 3, out_of_range(hi + 1)))
+    if name == "verify":
+        inside += [([], lo), ([], hi)]
+        outside += [([], lo - 1, out_of_range(lo - 1)), ([], hi + 1, out_of_range(hi + 1))]
+
+    # both ends reach the library, which takes them and reports
+    for argv, header_g in inside:
+        code, captured = run(argv, header_g)
+        assert code in (0, 1), (argv, header_g, captured.err)
+        assert "error: " not in captured.err
+        assert len(captured.out.splitlines()) >= 2
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before g was checked")
+
+    for worker in ("materialize", "load_graph", "max_induced_edges", "min_component_edge_cut"):
+        monkeypatch.setattr(f"hlnet.cli.{worker}", no_work)
+    for argv, header_g, message in outside:
+        code, captured = run(argv, header_g)
+        assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n"), argv
+
+
+# every integer flag of every subcommand, and what keeps it from sizing
+# unbounded work: a guard, or the reason it needs none
+GUARD = "_check_guard"
+DIMENSION = "the dimension guard"
+G_TABLE = "the g table"
+INT_FLAG_GUARDS = {
+    ("eg", "--n"): f"{DIMENSION} with --g-all; otherwise it only bounds g, in {G_TABLE}",
+    ("eg", "--g"): G_TABLE,
+    ("eg", "--g-max"): GUARD,
+    ("cut", "--g"): G_TABLE,
+    ("verify", "--g"): G_TABLE,
+    ("oracle-eg", "--g"): G_TABLE,
+    ("oracle-eg", "--g-max"): G_TABLE,
+    ("oracle-clambda", "--g"): G_TABLE,
+    ("oracle-clambda", "--g-max"): G_TABLE,
+    ("suite", "--g-max"): GUARD,
+    ("suite", "--n-max"): GUARD,
+    ("suite", "--i-max"): GUARD,
+    ("suite", "--n-max-mono"): GUARD,
+    **{
+        (command, flag): guard
+        for command in ("gen", "cut", "oracle-eg", "oracle-clambda")
+        for flag, guard in (
+            ("--n", DIMENSION),
+            ("--seed", "exempt: picks the matchings and sizes no work"),
+            ("--max-dim", "exempt: it is the dimension guard"),
+        )
+    },
+    **{
+        (command, "--max-nodes"): "exempt: it is itself a search budget"
+        for command in ("oracle-eg", "oracle-clambda")
+    },
+}
+
+
+def test_every_integer_flag_has_a_guard_or_a_stated_exemption():
+    sub = next(
+        action
+        for action in _build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    int_flags = {
+        (command, flag)
+        for command, parser in sub.choices.items()
+        for action in parser._actions
+        if action.type is int
+        for flag in action.option_strings
+    }
+    assert int_flags == set(INT_FLAG_GUARDS)
