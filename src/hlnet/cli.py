@@ -8,6 +8,7 @@ Exit codes: 0 all checks passed, 1 a check failed, 2 usage error,
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 import time
 from dataclasses import replace
@@ -17,6 +18,7 @@ from .formulas import component_edge_connectivity, extremal_edge_count, run_prop
 from .oracles import (
     COMPLETE,
     SearchLimits,
+    _check_search_depth,
     max_induced_edges,
     min_component_edge_cut,
     save_partition,
@@ -275,6 +277,8 @@ def _run_oracle_eg(args: argparse.Namespace):
     limits = SearchLimits(args.max_nodes, args.time_budget)
     recipe = _resolve_recipe(args)
     gs = _g_range(args, recipe.dim)
+    if gs[0] < 1 << recipe.dim:  # g = 2^n takes every vertex and runs no search
+        _check_search_depth(1 << recipe.dim)
     graph = materialize(recipe, max_dim=args.max_dim)
     for g in gs:
         formula = extremal_edge_count(g)
@@ -295,6 +299,7 @@ def _run_oracle_clambda(args: argparse.Namespace):
     gs = _g_range(args, n)
     if args.witness_out and args.g is None:
         raise ValueError("--witness-out needs a single --g")
+    _check_search_depth(1 << n)
     graph = materialize(recipe, max_dim=args.max_dim)
     for g in gs:
         bound = component_edge_connectivity(n, g, "permissive").value
@@ -335,6 +340,19 @@ def _run_suite(args: argparse.Namespace):
 
 
 def main(argv: "list[str] | None" = None) -> int:
+    # a run's objects live until it ends, so the cyclic collector would only
+    # re-walk them (whole passes over a loaded recipe tree); the caller's
+    # setting comes back on every exit, since tests call main in-process
+    collecting = gc.isenabled()
+    gc.disable()
+    try:
+        return _run(argv)
+    finally:
+        if collecting:
+            gc.enable()
+
+
+def _run(argv: "list[str] | None") -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:

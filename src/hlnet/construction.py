@@ -16,6 +16,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import accumulate, chain
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable
 
@@ -111,8 +112,13 @@ def verify_cut(graph: Graph, cut_edges: Iterable[tuple[int, int]]) -> CutReport:
         while frontier:
             grown: set[int] = set()
             free = frontier - ends
-            for col in graph.columns:
-                grown.update(map(col.__getitem__, free))
+            if len(free) > 1:  # one getter per frontier reads every column
+                pick = itemgetter(*free)
+                for col in graph.columns:
+                    grown.update(pick(col))
+            else:  # itemgetter of one index returns the entry, not a tuple
+                for col in graph.columns:
+                    grown.update(map(col.__getitem__, free))
             for u in frontier & ends:
                 grown.update(kept[u])
             grown -= seen

@@ -11,6 +11,13 @@ such a subgraph splinters off its g vertices, and for g <= 2^ceil(n/2) with
 n >= 8 the cut size n*g - e(g) is exactly the (g+1)-component edge
 connectivity; outside that window it is still a valid upper bound because
 the cut construction never needs the window.
+
+run_property_suite sweeps the inequalities of e(g) that this rests on,
+case by case in meaning but not in execution: superadditive row g0 = a and
+merge row i = a both bound the differences D_a[j] = e(2a + j) - e(a + j)
+from below, and one packed pass tests every such row with a few operations
+on one integer that holds e(0..g_max) in fixed-width fields.  Only a row
+that fails is expanded into lists to find its first failing case.
 """
 
 from __future__ import annotations
@@ -49,15 +56,15 @@ def extremal_edge_count(g: int) -> int:
 
 
 def extremal_edge_increment(i: int) -> int:
-    """The step e(i+1) - e(i), computed from the decomposition of i.
+    """The step e(i+1) - e(i), counted as the set bits of i.
 
-    Equals the number of terms in the binary expansion of i.  Deriving it
-    from the decomposition rather than by subtraction keeps the step
-    identity a testable fact instead of a tautology.
+    Equals the number of terms in the binary expansion of i.  Counting them
+    rather than subtracting keeps the step identity a testable fact instead
+    of a tautology.
     """
     if i < 1:
         raise ValueError(f"increment defined for i >= 1, got {i}")
-    return len(binary_decomposition(i))
+    return i.bit_count()
 
 
 class ConnectivityBound(NamedTuple):
@@ -174,28 +181,34 @@ def run_property_suite(
     def slack_row(n: int) -> tuple:
         top = min(1 << (n - 2), g_max)
         lhs = [(n - 2) * g for g in range(1, top + 1)]
-        return f"n={n}, g=", 1, lhs, [2 * t for t in table[1 : top + 1]]
+        return f"n={n}, g=", 1, top, (lhs, [2 * t for t in table[1 : top + 1]])
 
     def monotone_row(n: int) -> tuple:
         # value[g] = n*g - e(g); case g compares value[g + 1] with value[g]
         top = min((1 << ((n + 1) // 2)) - 1, g_max)
         value = [n * g - t for g, t in enumerate(table[: top + 2])]
-        return f"n={n}, g=", 1, value[2:], value[1:-1]
+        return f"n={n}, g=", 1, top, (value[2:], value[1:-1])
 
+    # superadditive row g0 = a and merge row i = a both bound the differences
+    # D_a[j] = e(2a + j) - e(a + j) from below, so one packed pass tests both
+    floors = [(table[a] + a, table[a + 1]) for a in range(1, g_max // 2 + 1)]
+    reached = _rows_reaching(table[: g_max + 1], floors)
     superadditive = (
-        (f"g0={g0}, g1=", g0, table[2 * g0 : g_max + 1],
-         [table[g0] + g0 + t for t in table[g0 : g_max - g0 + 1]])
-        for g0 in range(1, g_max // 2 + 1)
+        (f"g0={a}, g1=", a, g_max - 2 * a + 1, None if ok else (
+            table[2 * a : g_max + 1],
+            [table[a] + a + t for t in table[a : g_max - a + 1]]))
+        for a, (ok, _) in enumerate(reached, 1)
     )
     merge = (
-        (f"i={i}, j=", i, [table[i + 1] + t for t in table[i : g_max - i + 1]],
-         table[2 * i : g_max + 1])
-        for i in range(1, g_max // 2 + 1)
+        (f"i={a}, j=", a, g_max - 2 * a + 1, None if ok else (
+            [table[a + 1] + t for t in table[a : g_max - a + 1]],
+            table[2 * a : g_max + 1]))
+        for a, (_, ok) in enumerate(reached, 1)
     )
-    increment = [(
-        "i=", 1, list(map(sub, table[2 : increment_max + 2], table[1 : increment_max + 1])),
+    increment = [("i=", 1, increment_max, (
+        list(map(sub, table[2 : increment_max + 2], table[1 : increment_max + 1])),
         list(map(extremal_edge_increment, range(1, increment_max + 1))),
-    )]
+    ))]
     return [
         _sweep("superadditive", ge, superadditive),
         _sweep("merge", le, merge),
@@ -210,14 +223,55 @@ def _sweep(
 ) -> PropertyCheck:
     """Check holds(lhs[k], rhs[k]) row by row and stop at the first failure.
 
-    Each row is (head, first, lhs, rhs): the two sides of a run of cases as
-    aligned lists, where case k has the witness f"({head}{first + k})".
+    Each row is (head, first, size, sides): a run of size cases, where case
+    k has the witness f"({head}{first + k})".  sides holds the two sides of
+    the run as aligned lists, or is None for a row already known to pass.
     """
     cases = 0
-    for head, first, lhs, rhs in rows:
-        if not all(map(holds, lhs, rhs)):
+    for head, first, size, sides in rows:
+        if sides is not None and not all(map(holds, *sides)):
+            lhs, rhs = sides
             k = list(map(holds, lhs, rhs)).index(False)
             witness = f"({head}{first + k})"
             return PropertyCheck(name, cases + k + 1, False, witness, lhs[k], rhs[k])
-        cases += len(lhs)
+        cases += size
     return PropertyCheck(name, cases, True)
+
+
+def _rows_reaching(
+    values: list[int], floors: list[tuple[int, ...]]
+) -> list[tuple[bool, ...]]:
+    """Whether row a of D_a[j] = values[2a + j] - values[a + j], for
+    j = 0..len(values) - 1 - 2a, stays at or above each of floors[a - 1].
+
+    values is packed once into one integer of equal byte-aligned fields,
+    each offset to be non-negative.  Two shifts and one subtraction give a
+    row's differences in every field at once; adding TOP - c to every field
+    leaves its top bit set iff that field's difference is at least c.  The
+    field width comes from the data: TOP exceeds every |x - y - c|, so no
+    field carries into or borrows from its neighbour, whatever the values.
+    The shifted operands keep fields above the row's last; those only
+    change bits above the row, which the test masks off.
+    """
+    low = min(values)
+    bound = max(values) - low + max(abs(c) for row in floors for c in row)
+    size = (bound.bit_length() + 8) // 8  # bytes per field, so that TOP > bound
+    width = 8 * size
+    top = 1 << (width - 1)
+    packed = int.from_bytes(
+        b"".join((v - low).to_bytes(size, "little") for v in values), "little"
+    )
+    ones = int.from_bytes(b"\x01".ljust(size, b"\0") * len(values), "little")
+    reached = []
+    for a, row in enumerate(floors, 1):
+        diff = (packed >> (2 * a * width)) - (packed >> (a * width))
+        unit = ones >> (2 * a * width)  # 1 in each of the row's fields
+        tops = unit << (width - 1)
+
+        def reaches(c: int) -> bool:
+            return ((top - c) * unit + diff) & tops == tops
+
+        # a row that reaches its highest floor reaches them all
+        ok = reaches(max(row))
+        reached.append((True,) * len(row) if ok else tuple(map(reaches, row)))
+    return reached

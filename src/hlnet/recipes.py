@@ -164,12 +164,14 @@ def _random_permutation(size: int, seed: int, position: int) -> tuple[int, ...]:
     2^64 mod bound outputs, which keeps it exactly uniform."""
     state = _mix64(seed & _MASK64) ^ _mix64(position * _GOLDEN)
     perm = list(range(size))
+    # every limit 2^64 - (2^64 mod bound) exceeds 2^64 - size, so a draw
+    # below that is accepted without computing the limit
+    sure = (_MASK64 + 1) - size
     for i in range(size - 1, 0, -1):
-        limit = (_MASK64 + 1) - (_MASK64 + 1) % (i + 1)
         while True:
             state = (state + _GOLDEN) & _MASK64
             v = _mix64(state)
-            if v < limit:
+            if v < sure or v < (_MASK64 + 1) - (_MASK64 + 1) % (i + 1):
                 break
         j = v % (i + 1)
         perm[i], perm[j] = perm[j], perm[i]
@@ -476,7 +478,11 @@ def load_recipe(source: "str | Path | IO[str]") -> Recipe:
 def save_graph(graph: Graph, destination: "str | Path | IO[str]") -> None:
     """Write the plain-text edge list with its counting header."""
     header = f"# hl-graph n={graph.n} vertices={graph.vertex_count} edges={graph.edge_count}\n"
-    lines = (f"{u} {v}\n" for u, v in graph.edges())
+    # one piece per vertex: its edges to higher labels, in the order of edges()
+    lines = (
+        "".join([f"{u} {v}\n" for v in row if u < v])
+        for u, row in enumerate(map(sorted, zip(*graph.columns)))
+    )
     _write_document(destination, chain([header], lines))
 
 

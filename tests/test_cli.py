@@ -1,4 +1,5 @@
 import argparse
+import gc
 import json
 
 import pytest
@@ -419,6 +420,55 @@ def test_oracle_rejects_graph_deeper_than_recursion_limit(argv, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: graph has 1024 vertices, more than the ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["oracle-eg", "--n", "20", "--g", "5"],
+        ["oracle-eg", "--n", "10", "--g-all"],
+        ["oracle-clambda", "--n", "18", "--g", "1"],
+    ],
+)
+def test_oracle_depth_is_checked_before_the_graph_is_built(argv, monkeypatch, capsys):
+    def fail(*args, **kwargs):
+        raise AssertionError("the graph is built before its depth is checked")
+
+    monkeypatch.setattr("hlnet.cli.materialize", fail)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    vertices = 1 << int(argv[2])
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: graph has {vertices} vertices, more than the ")
+    assert captured.err.count("\n") == 1
+
+
+def test_oracle_eg_taking_every_vertex_runs_no_search_at_any_depth(capsys):
+    assert main(["oracle-eg", "--n", "10", "--g", "1024", "--format", "csv"]) == 0
+    assert capsys.readouterr().out.splitlines()[1] == "10,1024,5120,,5120,ok,0"
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["eg", "--g-max", "3"], 0), (["eg", "--g", "-5"], 2), (["eg", "--bogus"], 2)],
+)
+def test_main_runs_without_the_collector_and_restores_the_callers_setting(
+    enabled, argv, code, monkeypatch, capsys
+):
+    during = []
+    monkeypatch.setattr(
+        "hlnet.cli.extremal_edge_count", lambda g: during.append(gc.isenabled()) or 0
+    )
+    was = gc.isenabled()
+    (gc.enable if enabled else gc.disable)()
+    try:
+        assert main(argv) == code
+        assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
+    assert during == ([False] * 3 if code == 0 else [])
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(

@@ -1,7 +1,7 @@
 import re
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import hlnet.formulas
@@ -319,3 +319,56 @@ def test_property_suite_reports_the_first_failure(name, row, start, stop, delta,
     assert not failed.passed
     assert int(re.match(r"\(\w+=(\d+)", failed.witness)[1]) == row
     assert run_property_suite(**FAILURE_RANGES) == expected
+
+
+# --- the packed row test against the case-by-case reference ------------------
+
+
+def _moved_suites(monkeypatch, moves, ranges=FAILURE_RANGES):
+    """The suite and its reference, with e(g) moved by moves.get(g, 0)."""
+
+    def moved(g, e=extremal_edge_count):
+        return e(g) + moves.get(g, 0)
+
+    monkeypatch.setattr(hlnet.formulas, "extremal_edge_count", moved)
+    return run_property_suite(**ranges), _reference_suite(**ranges)
+
+
+@pytest.mark.parametrize("g_max", [17, 33, 65])
+def test_packed_sweep_finds_a_failure_in_a_rows_last_case(g_max, monkeypatch):
+    # e(g_max) enters only the last case of each row, never a row's floor
+    got, expected = _moved_suites(monkeypatch, {g_max: -1}, {**FAILURE_RANGES, "g_max": g_max})
+    assert got == expected
+    for check in expected[:2]:
+        assert not check.passed
+        assert sum(map(int, re.findall(r"=(\d+)", check.witness))) == g_max
+
+
+@pytest.mark.parametrize("delta", [-(1 << 40), -1, 1, 1 << 40])
+def test_moves_above_g_max_leave_superadditive_and_merge_alone(delta, monkeypatch):
+    got, expected = _moved_suites(monkeypatch, {FAILURE_RANGES["g_max"] + 1: delta})
+    assert got == expected
+    assert got[0].passed and got[1].passed
+
+
+@pytest.mark.parametrize("g", [0, 1, 2, 5, 8, 9, 16, 17])
+@pytest.mark.parametrize("delta", [-(1 << 40), 1 << 40])
+def test_packed_sweep_matches_the_reference_under_huge_moves(g, delta, monkeypatch):
+    # a field as wide as the unmoved values needs would borrow across fields
+    got, expected = _moved_suites(monkeypatch, {g: delta})
+    assert got == expected
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    g_max=st.integers(2, 40),
+    moves=st.dictionaries(
+        st.integers(0, 42),
+        st.one_of(st.integers(-3, 3), st.integers(-(1 << 45), 1 << 45)),
+        max_size=3,
+    ),
+)
+def test_packed_sweep_matches_the_reference_on_random_moves(g_max, moves):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        got, expected = _moved_suites(monkeypatch, moves, {**FAILURE_RANGES, "g_max": g_max})
+    assert got == expected
