@@ -11,12 +11,15 @@ range (top bit 0), the right subnetwork the upper half.
 from __future__ import annotations
 
 import json
+import re
 from collections import defaultdict
+from contextlib import nullcontext
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from operator import itemgetter
-from typing import IO, Collection, Iterable, Iterator
+from typing import IO, Callable, Collection, Iterable, Iterator
 
 #: Default cap on materializable dimension (2^20 vertices).  Raise it per
 #: call if you really want bigger adjacency tables in memory.
@@ -331,8 +334,20 @@ def materialize(recipe: Recipe, max_dim: int = MAX_DIM) -> Graph:
 # {"dim": d, "node": {"left": ..., "right": ..., "matching": [...]}} at
 # nodes, matchings given as local right-half indices.
 
+_CHUNK = 1 << 20  # characters per read of a recipe document
+_INDENT = re.compile(r"\n[ \t]+")
+_SPACES = re.compile(r"\n +")  # the writer's indentation: a quarter faster than _INDENT
 
-def _recipe_from_obj(obj: object, path: str) -> Recipe:
+
+def _recipe_from_obj(
+    obj: object, path: str, child: "Callable[[object, str], Recipe] | None" = None
+) -> Recipe:
+    """The Recipe of a decoded recipe object, or a RecipeError that names the
+    JSON path of the first fault.  These are the one set of per-node rules.
+
+    ``child(value, path)`` gives the Recipe of each child value; by default
+    the child objects are read the same way, depth first.
+    """
     if not isinstance(obj, dict):
         raise RecipeError(f"{path}: expected an object, got {type(obj).__name__}")
     dim = obj.get("dim")
@@ -347,8 +362,9 @@ def _recipe_from_obj(obj: object, path: str) -> Recipe:
         raise RecipeError(f"{path}: dim {dim} recipe needs a 'node' object")
     if dim == 0:
         raise RecipeError(f"{path}: dim 0 recipe must be a leaf")
-    left = _recipe_from_obj(node.get("left"), path + ".node.left")
-    right = _recipe_from_obj(node.get("right"), path + ".node.right")
+    child = child or _recipe_from_obj
+    left = child(node.get("left"), path + ".node.left")
+    right = child(node.get("right"), path + ".node.right")
     if left.dim != dim - 1 or right.dim != dim - 1:
         raise RecipeError(
             f"{path}: children of dim {dim} node must have dim {dim - 1}, "
@@ -361,6 +377,28 @@ def _recipe_from_obj(obj: object, path: str) -> Recipe:
         return Recipe(dim, left, right, tuple(matching))
     except RecipeError as exc:
         raise RecipeError(f"{path}.node.matching: {exc}") from None
+
+
+def _built(value: object, path: str) -> Recipe:
+    """The child rule of the lean read: json has already built the child."""
+    if not isinstance(value, Recipe):
+        raise RecipeError(f"{path}: not a recipe object in the written layout")
+    return value
+
+
+_LEAF_KEYS = frozenset(("dim", "leaf"))
+_NODE_KEYS = frozenset(("dim", "node"))
+
+
+def _build_as_decoded(obj: dict) -> object:
+    """object_hook of the lean read.  json decodes bottom-up, so a recipe
+    object's children are Recipes by the time it closes.  An object with
+    exactly the keys the writer gives a leaf or a node becomes its Recipe;
+    any other object stays a dict, which its parent then rejects."""
+    keys = obj.keys()
+    if keys == _NODE_KEYS or (keys == _LEAF_KEYS and obj["leaf"] is True):
+        return _recipe_from_obj(obj, "$", _built)
+    return obj
 
 
 def _recipe_chunks(recipe: Recipe) -> Iterator[str]:
@@ -422,12 +460,6 @@ def _write_document(destination: "str | Path | IO[str]", pieces: Iterable[str]) 
             stream.writelines(pieces)
 
 
-def _read_text(source: "str | Path | IO[str]") -> str:
-    if hasattr(source, "read"):
-        return source.read()  # type: ignore[union-attr]
-    return Path(source).read_text()  # type: ignore[arg-type]
-
-
 def _lines(source: "str | Path | IO[str]") -> Iterator[str]:
     """Yield the lines of an open stream, or of a path inside its open file."""
     if hasattr(source, "read"):
@@ -471,8 +503,54 @@ def save_recipe(recipe: Recipe, destination: "str | Path | IO[str]") -> None:
     _write_document(destination, _recipe_chunks(recipe))
 
 
+def _lean_text(source: "str | Path | IO[str]") -> str:
+    """A document's text without the blanks that open its lines, read in
+    chunks of _CHUNK characters, so the file's bytes and its whole text never
+    coexist.  Each newline stays: line numbers hold, and a raw newline inside
+    a string is still an error."""
+    pieces: list[str] = []
+    with nullcontext(source) if hasattr(source, "read") else Path(source).open() as stream:
+        for chunk in iter(partial(stream.read, _CHUNK), ""):  # type: ignore[union-attr]
+            if pieces and pieces[-1].endswith("\n"):  # the blanks run on from a chunk
+                chunk = chunk.lstrip(" \t")
+            if chunk:
+                pieces.append((_INDENT if "\t" in chunk else _SPACES).sub("\n", chunk))
+    return "".join(pieces)
+
+
+def _loads_lean(text: str) -> "Recipe | None":
+    """The Recipe of a document in the written layout, each node built as
+    its object closes; None for anything else (bad JSON, other keys, a
+    recipe error), which loads_recipe then reports."""
+    try:
+        recipe = json.loads(text, object_hook=_build_as_decoded)
+    except (ValueError, RecursionError):  # RecipeError is a ValueError
+        return None
+    return recipe if isinstance(recipe, Recipe) else None
+
+
 def load_recipe(source: "str | Path | IO[str]") -> Recipe:
-    return loads_recipe(_read_text(source))
+    """Read a recipe document from a path or an open text stream.
+
+    The text comes in chunks with its indentation dropped, and json.loads
+    builds each Recipe as its object closes, so neither the file's whole
+    text nor a dict tree of the document is ever held.  A path whose
+    document this does not accept, undecodable bytes included, is read
+    again whole through loads_recipe, so every error is the one
+    loads_recipe gives for the file's text.  A stream cannot be read
+    twice: its lean text goes through loads_recipe, which gives the same
+    value or a ``malformed recipe document: `` or ``$...`` error; JSON
+    positions then count in the lean text.
+    """
+    if hasattr(source, "read"):
+        text = _lean_text(source)
+        recipe = _loads_lean(text)
+        return loads_recipe(text) if recipe is None else recipe
+    try:
+        recipe = _loads_lean(_lean_text(source))
+    except UnicodeDecodeError:  # the whole read raises it at the file's offset
+        recipe = None
+    return loads_recipe(Path(source).read_text()) if recipe is None else recipe
 
 
 def save_graph(graph: Graph, destination: "str | Path | IO[str]") -> None:

@@ -1,10 +1,12 @@
 import argparse
 import gc
 import json
+import time
 
 import pytest
 
 from hlnet.cli import _build_parser, _exit_code, main
+from hlnet.formulas import SUITE_WORK_LIMIT
 from hlnet.reports import ReportRow, emit_report
 
 
@@ -664,6 +666,45 @@ def test_g_max_too_large_is_one_usage_error_line(argv, message, monkeypatch, cap
     assert captured.err == f"error: {message}\n"
 
 
+_OVER_THE_WORK_LIMIT = (
+    "suite ranges weigh {} packed cases, over the limit 2500000000: "
+    "g_max^2/2 + 24*((slack_n_max + monotone_n_max)*g_max + increment_max)"
+)
+
+
+@pytest.mark.parametrize(
+    "flags, work",
+    [
+        (["--g-max", "1048576"], 549755813888 + 24 * (88 * 1048576 + 65536)),
+        (["--n-max-mono", "1048576"], 8388608 + 24 * (1048600 * 4096 + 65536)),
+        (["--n-max", "1048576"], 8388608 + 24 * (1048640 * 4096 + 65536)),
+        (["--g-max", "65536", "--n-max", "512"], 2147483648 + 24 * (576 * 65536 + 65536)),
+        (["--n-max-mono", "26000"], 8388608 + 24 * (26024 * 4096 + 65536)),
+    ],
+    ids=["g-max", "n-max-mono", "n-max", "g-max-and-n-max", "n-max-mono-26000"],
+)
+def test_suite_over_its_work_limit_is_one_usage_error_line(flags, work, monkeypatch, capsys):
+    """Every flag within its own guard, but their work together over the
+    limit: exit 2 with one line, before the table of e is built."""
+    def fail(*args, **kwargs):
+        raise AssertionError("the suite built its table before checking its work")
+
+    monkeypatch.setattr("hlnet.formulas.extremal_edge_count", fail)
+    start = time.monotonic()
+    assert main(["suite", *flags]) == 2
+    assert time.monotonic() - start < 0.3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {_OVER_THE_WORK_LIMIT.format(work)}\n"
+
+
+def test_suite_work_limit_admits_the_ci_run():
+    """The limit sits above the work of `suite --g-max 65536` with the
+    other defaults, which CI runs; the run itself is left to CI."""
+    ci_work = 65536**2 // 2 + 24 * ((24 + 64) * 65536 + 65536)
+    assert ci_work <= SUITE_WORK_LIMIT < 65536**2 // 2 + 24 * ((512 + 64) * 65536 + 65536)
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -762,6 +803,7 @@ def test_g_outside_the_domain_exits_before_any_work(
 GUARD = "_check_guard"
 DIMENSION = "the dimension guard"
 G_TABLE = "the g table"
+SUITE_WORK = "SUITE_WORK_LIMIT on the work of all four together"
 INT_FLAG_GUARDS = {
     ("eg", "--n"): f"{DIMENSION} with --g-all; otherwise it only bounds g, in {G_TABLE}",
     ("eg", "--g"): G_TABLE,
@@ -772,10 +814,8 @@ INT_FLAG_GUARDS = {
     ("oracle-eg", "--g-max"): G_TABLE,
     ("oracle-clambda", "--g"): G_TABLE,
     ("oracle-clambda", "--g-max"): G_TABLE,
-    ("suite", "--g-max"): GUARD,
-    ("suite", "--n-max"): GUARD,
-    ("suite", "--i-max"): GUARD,
-    ("suite", "--n-max-mono"): GUARD,
+    **{("suite", flag): f"{GUARD}, then {SUITE_WORK}"
+       for flag in ("--g-max", "--n-max", "--i-max", "--n-max-mono")},
     **{
         (command, flag): guard
         for command in ("gen", "cut", "oracle-eg", "oracle-clambda")

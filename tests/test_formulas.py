@@ -235,6 +235,14 @@ def test_property_suite_rejects_ranges_with_an_empty_check(ranges):
         run_property_suite(**{**full, **ranges})
 
 
+def test_property_suite_rejects_ranges_over_its_work_limit():
+    with pytest.raises(ValueError, match="^suite ranges weigh 551971979264 packed cases"):
+        run_property_suite(g_max=1 << 20)
+    # the empty-check rule comes first
+    with pytest.raises(ValueError, match="^every check needs a case: "):
+        run_property_suite(g_max=1 << 20, slack_n_max=1)
+
+
 # The suite's failure path.  Each case moves e(g) by delta for start <= g <
 # stop, which makes the named check fail first in the given row (first
 # coordinate of the witness) of these ranges; the expected results come from

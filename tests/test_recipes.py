@@ -34,6 +34,8 @@ from hlnet import (
     verify_cut,
 )
 
+from hlnet.recipes import _lean_text
+
 from helpers import boundary_edges, induced_edge_count
 
 Q4 = materialize(hypercube(4))
@@ -591,6 +593,168 @@ def test_load_rejects_garbage():
 def test_load_rejects_integers_too_long_to_read(doc):
     with pytest.raises(RecipeError, match="^malformed recipe document: "):
         loads_recipe(doc)
+
+
+# --- the lean read of recipe files ----------------------------------------
+#
+# load_recipe(path) reads a document in chunks without its indentation and
+# builds each node as json decodes it.  The rule for a path: the same Recipe
+# as the whole text through loads_recipe, or the identical error.  The rule
+# for an open stream, which cannot be read twice: the same Recipe, the
+# identical "$..." error, or for a malformed document a "malformed recipe
+# document: " error whose JSON position counts in the text without its
+# indentation.
+
+
+def _outcome(load, source):
+    try:
+        return load(source)
+    except ValueError as exc:  # RecipeError, or bytes that do not decode
+        return type(exc), str(exc)
+
+
+def _whole_read(path):
+    return loads_recipe(path.read_text())
+
+
+def _assert_lean_read_is_the_whole_read(path):
+    expected = _outcome(_whole_read, path)
+    assert _outcome(load_recipe, path) == expected
+    try:
+        text = path.read_text()
+    except UnicodeDecodeError:
+        return
+    streamed = _outcome(load_recipe, io.StringIO(text))
+    if isinstance(expected, Recipe) or expected[1].startswith("$"):
+        assert streamed == expected
+    else:
+        assert expected[1].startswith("malformed recipe document: ")
+        assert streamed[0] is RecipeError, streamed
+        assert streamed[1].startswith("malformed recipe document: ")
+
+
+_CANONICAL = {
+    "random_hl": dumps_recipe(random_hl(5, 3)),
+    "hypercube": dumps_recipe(hypercube(4)),
+    "g84": dumps_recipe(g84()),
+}
+_G84_OBJ = json.loads(_CANONICAL["g84"])
+_LEAF_DOC = '{"dim": 0, "leaf": true}'
+_LEAN_CASES = {
+    **{f"canonical-{name}": text for name, text in _CANONICAL.items()},
+    "one-line": json.dumps(_G84_OBJ),
+    "tabs": json.dumps(_G84_OBJ, indent="\t") + "\n",
+    "crlf": _CANONICAL["g84"].replace("\n", "\r\n"),
+    "blank-lines": _CANONICAL["g84"].replace("\n", "\n \t\n\t  "),
+    "leading-blanks": "  \n\t " + _CANONICAL["g84"],
+    "duplicate-keys": _K2_DOC.replace('{"dim": 1,', '{"dim": 1, "dim": 1,', 1),
+    "duplicate-child": _K2_DOC.replace('"left": ', '"left": {"dim": 7}, "left": ', 1),
+    "extra-key-leaf": '{"dim": 0, "leaf": true, "note": "x"}',
+    "extra-key-node": _K2_DOC.replace('"matching"', '"note": [{}], "matching"'),
+    "extra-key-child": _K2_DOC.replace(_LEAF_DOC, '{"dim": 0, "leaf": true, "x": 1}', 1),
+    "leaf-one": _K2_DOC.replace('"leaf": true', '"leaf": 1'),
+    "leaf-false": '{"dim": 0, "leaf": false}',
+    "leaf-with-node": '{"dim": 0, "leaf": true, "node": 5}',
+    "bool-dim": _K2_DOC.replace('"dim": 1', '"dim": true'),
+    "bool-dim-leaf": '{"dim": false, "leaf": true}',
+    "float-dim": _K2_DOC.replace('"dim": 1', '"dim": 1.0'),
+    "object-in-matching": _K2_DOC.replace("[0]", "[" + _LEAF_DOC + "]"),
+    "node-in-matching": _K2_DOC.replace("[0]", "[" + _K2_DOC + "]"),
+    "bool-in-matching": _K2_DOC.replace("[0]", "[false]"),
+    "bare-node": _K2_DOC[_K2_DOC.index('{"left"') : -1],
+    "bare-leaf": _LEAF_DOC,
+    "array": "[" + _LEAF_DOC + "]",
+    "duplicate-image": json.dumps(
+        {"dim": 2, "node": {"left": json.loads(_K2_DOC), "right": json.loads(_K2_DOC),
+                            "matching": [1, 1]}}, indent=2),
+    "unequal-halves": json.dumps(
+        {"dim": 2, "node": {"left": json.loads(_K2_DOC), "right": json.loads(_LEAF_DOC),
+                            "matching": [0, 1]}}, indent=2),
+    "syntax-error-after-indent": _CANONICAL["random_hl"][:-40] + "}\n",
+    "newline-in-string": '{"dim": 0,\n  "leaf\n    ": true}',
+    "split-token": '{"dim": 0, "leaf": tr\n  ue}',
+    "split-number": _K2_DOC.replace("[0]", "[1\n  0]"),
+    "bom": "\ufeff" + _LEAF_DOC,
+    "integer-too-long": _K2_DOC.replace("[0]", "[" + "1" * 5000 + "]"),
+    "empty": "",
+    "blanks-only": "\n    \n",
+}
+
+
+@pytest.mark.parametrize("doc", list(_LEAN_CASES.values()), ids=list(_LEAN_CASES))
+def test_lean_read_is_the_whole_read(doc, tmp_path):
+    path = tmp_path / "r.json"
+    path.write_bytes(doc.encode())
+    _assert_lean_read_is_the_whole_read(path)
+
+
+def test_lean_read_of_a_document_nested_too_deeply(deep_recipe_doc, tmp_path):
+    path = tmp_path / "deep.json"
+    path.write_text(deep_recipe_doc)
+    _assert_lean_read_is_the_whole_read(path)
+    with pytest.raises(RecipeError, match="^malformed recipe document: nested too deeply$"):
+        load_recipe(path)
+
+
+def test_lean_read_reports_undecodable_bytes_past_the_first_chunk(tmp_path):
+    data = dumps_recipe(hypercube(11)).encode()
+    assert len(data) > 1 << 20
+    at = len(data) - 100
+    path = tmp_path / "r.json"
+    path.write_bytes(data[:at] + b"\xff" + data[at:])
+    with pytest.raises(UnicodeDecodeError) as exc:
+        load_recipe(path)
+    assert exc.value.start == at
+    _assert_lean_read_is_the_whole_read(path)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 13])
+def test_lean_read_across_chunk_boundaries(chunk, tmp_path, monkeypatch):
+    monkeypatch.setattr("hlnet.recipes._CHUNK", chunk)
+    for name in ("canonical-g84", "blank-lines", "tabs", "syntax-error-after-indent", "leaf-one"):
+        path = tmp_path / f"{name}.json"
+        path.write_text(_LEAN_CASES[name])
+        _assert_lean_read_is_the_whole_read(path)
+        lean = _lean_text(path)
+        assert lean == re.sub(r"\n[ \t]+", "\n", path.read_text())
+
+
+def test_lean_read_holds_neither_the_whole_text_nor_a_dict_tree(tmp_path):
+    # the whole read peaks above twice the file's size: its bytes and its text
+    recipe = hypercube(13)
+    path = tmp_path / "q13.json"
+    save_recipe(recipe, path)
+    size = path.stat().st_size
+    assert size > 6_000_000
+    peak = _traced_peak(lambda: load_recipe(path))
+    assert peak < size
+    assert load_recipe(path) == recipe
+
+
+_MUTATION_CHARS = '{}[]",:0129 \t\nadefilmnortu\xe9'
+
+
+@st.composite
+def _mutated_documents(draw):
+    text = draw(st.sampled_from(sorted(_CANONICAL.values()) + [_K2_DOC]))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 4))
+        insert = draw(st.text(st.sampled_from(_MUTATION_CHARS), max_size=4))
+        text = text[:at] + insert + text[at + cut :]
+    data = text.encode()
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + draw(st.sampled_from([b"\xff", b"\xc3", b"\r\n", b"\r"])) + data[at:]
+    return data
+
+
+@given(data=_mutated_documents())
+@settings(max_examples=300, deadline=None)
+def test_lean_read_of_mutated_documents(data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("lean") / "r.json"
+    path.write_bytes(data)
+    _assert_lean_read_is_the_whole_read(path)
 
 
 def test_direct_recipe_validation():
