@@ -13,7 +13,6 @@ from __future__ import annotations
 import json
 import re
 from collections import defaultdict
-from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -336,7 +335,6 @@ def materialize(recipe: Recipe, max_dim: int = MAX_DIM) -> Graph:
 
 _CHUNK = 1 << 20  # characters per read of a recipe document
 _INDENT = re.compile(r"\n[ \t]+")
-_SPACES = re.compile(r"\n +")  # the writer's indentation: a quarter faster than _INDENT
 
 
 def _recipe_from_obj(
@@ -503,18 +501,18 @@ def save_recipe(recipe: Recipe, destination: "str | Path | IO[str]") -> None:
     _write_document(destination, _recipe_chunks(recipe))
 
 
-def _lean_text(source: "str | Path | IO[str]") -> str:
-    """A document's text without the blanks that open its lines, read in
-    chunks of _CHUNK characters, so the file's bytes and its whole text never
+def _lean_text(path: "str | Path") -> str:
+    """A file's text without the blanks that open its lines, read in chunks
+    of _CHUNK characters, so the file's bytes and its whole text never
     coexist.  Each newline stays: line numbers hold, and a raw newline inside
     a string is still an error."""
     pieces: list[str] = []
-    with nullcontext(source) if hasattr(source, "read") else Path(source).open() as stream:
-        for chunk in iter(partial(stream.read, _CHUNK), ""):  # type: ignore[union-attr]
+    with open(path) as stream:
+        for chunk in iter(partial(stream.read, _CHUNK), ""):
             if pieces and pieces[-1].endswith("\n"):  # the blanks run on from a chunk
                 chunk = chunk.lstrip(" \t")
             if chunk:
-                pieces.append((_INDENT if "\t" in chunk else _SPACES).sub("\n", chunk))
+                pieces.append(_INDENT.sub("\n", chunk))
     return "".join(pieces)
 
 
@@ -537,15 +535,11 @@ def load_recipe(source: "str | Path | IO[str]") -> Recipe:
     text nor a dict tree of the document is ever held.  A path whose
     document this does not accept, undecodable bytes included, is read
     again whole through loads_recipe, so every error is the one
-    loads_recipe gives for the file's text.  A stream cannot be read
-    twice: its lean text goes through loads_recipe, which gives the same
-    value or a ``malformed recipe document: `` or ``$...`` error; JSON
-    positions then count in the lean text.
+    loads_recipe gives for the file's text.  An open stream, which cannot
+    be read twice, is read whole through loads_recipe.
     """
     if hasattr(source, "read"):
-        text = _lean_text(source)
-        recipe = _loads_lean(text)
-        return loads_recipe(text) if recipe is None else recipe
+        return loads_recipe(source.read())  # type: ignore[union-attr]
     try:
         recipe = _loads_lean(_lean_text(source))
     except UnicodeDecodeError:  # the whole read raises it at the file's offset

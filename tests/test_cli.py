@@ -1,7 +1,6 @@
 import argparse
 import gc
 import json
-import time
 
 import pytest
 
@@ -690,9 +689,7 @@ def test_suite_over_its_work_limit_is_one_usage_error_line(flags, work, monkeypa
         raise AssertionError("the suite built its table before checking its work")
 
     monkeypatch.setattr("hlnet.formulas.extremal_edge_count", fail)
-    start = time.monotonic()
     assert main(["suite", *flags]) == 2
-    assert time.monotonic() - start < 0.3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"error: {_OVER_THE_WORK_LIMIT.format(work)}\n"
