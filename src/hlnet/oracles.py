@@ -2,11 +2,12 @@
 
 Everything here is deliberately independent of the closed-form machinery:
 the subset search and the partition search use only structural bounds read
-from degrees (a future pick gains its edges to the chosen set plus at most
+from adjacency (a future pick gains its edges to the chosen set plus at most
 min(picks left - 1, its degree into the undecided vertices) edges among the
 other picks, each counted at half weight; opening a new partition block at
-vertex v costs exactly v's back-edges), so their answers can validate the
-formulas without circularity.
+vertex v costs exactly v's back-edges; an undecided vertex u pays at least
+its edges to decided vertices outside the block holding most of them), so
+their answers can validate the formulas without circularity.
 
 Both searches are anytime.  When a node or time budget runs out they return
 the incumbent with status "incomplete": a lower bound for the subset search
@@ -21,6 +22,7 @@ import sys
 import time
 from dataclasses import dataclass
 from itertools import chain
+from operator import add
 from pathlib import Path
 from typing import IO, Iterable, NamedTuple
 
@@ -134,15 +136,25 @@ def max_induced_edges(
 
     _check_search_depth(total)
     masks = graph.neighbor_masks()
+    rows = list(zip(*graph.columns))
     # gain_tail[c] bounds the edges gained by the remaining k - c picks
     gain_tail = [0] * (k + 1)
     for c in range(k - 1, -1, -1):
         gain_tail[c] = gain_tail[c + 1] + min(c, graph.n)
     # pool_degree[v][w - v] = |N(w) ∩ {v..total-1}|: the undecided vertices
-    # at depth v are the pool a pick w shares edges with
+    # at depth v are the pool a pick w shares edges with (a degree is at most
+    # n, so each row fits in bytes)
     pool_degree = [
-        [(masks[w] >> v).bit_count() for w in range(v, total)] for v in range(total)
+        bytes((masks[w] >> v).bit_count() for w in range(v, total)) for v in range(total)
     ]
+    # capped[c][v] = min(c, pool_degree[v]); with r picks left the bound caps
+    # at c = r - 1, which changes a row only while c < n
+    capped = []
+    for c in range(min(k, graph.n)):
+        cap = bytes(min(c, d) for d in range(256))
+        capped.append([row.translate(cap) for row in pool_degree])
+    # twice[w] = 2|N(w) ∩ chosen|, kept in step with `chosen`
+    twice = [0] * total
 
     # the first k labels seed the incumbent; they are also the smallest
     # possible witness, so later strict improvements keep the tie-break
@@ -165,18 +177,17 @@ def max_induced_edges(
         # r pool picks F gain sum_{w in F} (2|N(w) ∩ chosen| + |N(w) ∩ F|) / 2
         # edges, and each |N(w) ∩ F| <= min(r - 1, |N(w) ∩ pool|)
         r = k - count
-        gains = sorted(
-            (
-                2 * (masks[w] & chosen).bit_count() + min(r - 1, d)
-                for w, d in enumerate(pool_degree[v], v)
-            ),
-            reverse=True,
-        )
+        pool = capped[r - 1][v] if r <= len(capped) else pool_degree[v]
+        gains = sorted(map(add, twice[v:], pool), reverse=True)
         if value + sum(gains[:r]) // 2 <= best:
             return
         if not budget.spend():
             return
-        dfs(v + 1, chosen | (1 << v), count + 1, value + (masks[v] & chosen).bit_count())
+        for w in rows[v]:
+            twice[w] += 2
+        dfs(v + 1, chosen | (1 << v), count + 1, value + twice[v] // 2)
+        for w in rows[v]:
+            twice[w] -= 2
         dfs(v + 1, chosen, count, value)
 
     dfs(0, 0, 0, 0)
@@ -192,9 +203,22 @@ def min_component_edge_cut(
     Minimizing over exactly-k-block partitions equals minimizing over cuts
     leaving at least k components: merging surplus components into blocks
     never adds a cross edge.  Enumeration follows restricted-growth strings
-    (block ids appear in first-use order), with two admissible bounds: the
-    committed cross-edge count, and the cost of the block openings still
-    owed, each of which is exactly the opening vertex's back-edge count.
+    (block ids appear in first-use order).  The committed cross-edge count
+    is raised by the larger of two admissible bounds:
+
+    * the cost of the block openings still owed, each of which is exactly
+      the opening vertex's back-edge count;
+    * the sum over undecided vertices u of dD(u) - max_b cnt_b(u), where
+      dD(u) counts u's decided neighbors and cnt_b(u) those in block b.
+      Whichever block u joins, its edges to decided vertices in other
+      blocks are cut, and a new block cuts all dD(u) of them.  These edges
+      are distinct for distinct u and none joins two decided vertices, so
+      the sum adds to the committed count without overlap.
+
+    The two bounds may count the same edges, so only their maximum is
+    added.  Like the committed count, they prune only branches that cannot
+    strictly beat the incumbent, so the witness stays the lexicographically
+    smallest optimal assignment string.
     """
     total = graph.vertex_count
     if parts == 1:
@@ -204,8 +228,11 @@ def min_component_edge_cut(
         raise ValueError(f"parts={parts} out of range 2..{total}")
 
     _check_search_depth(total)
-    masks = graph.neighbor_masks()
-    backdeg = [(masks[v] & ((1 << v) - 1)).bit_count() for v in range(total)]
+    # forward[v]: v's neighbors above v, the undecided ones that v's
+    # assignment touches; the rest of the row are v's back-edges
+    rows = list(zip(*graph.columns))
+    forward = [[u for u in row if u > v] for v, row in enumerate(rows)]
+    backdeg = [len(row) - len(ahead) for row, ahead in zip(rows, forward)]
 
     # open_tail[i][u]: cheapest total back-edge cost of opening u more blocks
     # using only vertices >= i
@@ -218,7 +245,6 @@ def min_component_edge_cut(
         open_tail.append(sums)
 
     assign = [0] * total
-    block_masks = [0] * parts
 
     # incumbent: the first leaf of the search order (everything in block 0,
     # then the forced chain of new singletons), which is also the smallest
@@ -229,7 +255,13 @@ def min_component_edge_cut(
     best_assign = assign.copy()
     budget = _Budget(limits)
 
-    def dfs(v: int, used: int, cost: int) -> None:
+    # cnt[u][b] = |N(u) ∩ block b| and top[u] = max_b cnt[u][b], over the
+    # decided vertices; lb sums term(u) = |N(u) ∩ decided| - top[u] over the
+    # undecided u (at depth v, term(v) = backdeg[v] - top[v])
+    cnt = [[0] * parts for _ in range(total)]
+    top = [0] * total
+
+    def dfs(v: int, used: int, cost: int, lb: int) -> None:
         nonlocal best, best_assign
         if v == total:
             if used == parts and cost < best:
@@ -241,25 +273,42 @@ def min_component_edge_cut(
         if need > remaining:
             return
         owed = open_tail[v][need] if need > 0 else 0
-        if cost + owed >= best:
+        if cost + max(lb, owed) >= best:
             return
         if not budget.spend():
             return
-        nbmask = masks[v]
+        counts = cnt[v]
         back = backdeg[v]
-        vbit = 1 << v
-        top = used if used < parts else parts - 1
-        for b in range(top + 1):
-            opening = b == used
-            add = back if opening else back - (nbmask & block_masks[b]).bit_count()
-            if cost + add >= best:
+        # lb without term(v) bounds every child's lb: deciding v raises an
+        # undecided neighbor's term by 1 unless its top rises with it
+        rest = lb - (back - top[v])
+        ahead = forward[v]
+        top_block = used if used < parts else parts - 1
+        for b in range(top_block + 1):
+            # block `used` is still empty, so counts[b] is 0 when v opens it
+            add = back - counts[b]
+            if cost + add + rest >= best:
                 continue
             assign[v] = b
-            block_masks[b] |= vbit
-            dfs(v + 1, used + 1 if opening else used, cost + add)
-            block_masks[b] &= ~vbit
+            raised = []
+            for u in ahead:
+                c = cnt[u][b] + 1
+                cnt[u][b] = c
+                if c > top[u]:
+                    top[u] = c
+                    raised.append(u)
+            dfs(
+                v + 1,
+                used + 1 if b == used else used,
+                cost + add,
+                rest + len(ahead) - len(raised),
+            )
+            for u in ahead:
+                cnt[u][b] -= 1
+            for u in raised:
+                top[u] -= 1
 
-    dfs(0, 0, 0)
+    dfs(0, 0, 0, 0)
     witness = _partition_witness(graph, best_assign, parts)
     return MinCutResult(best, witness, INCOMPLETE if budget.exhausted else COMPLETE)
 

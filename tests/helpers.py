@@ -1,7 +1,9 @@
 """Vertex-set queries on materialized graphs, used by the tests as
-independent counts next to the library's cut construction and oracles."""
+independent counts next to the library's cut construction and oracles, and
+the tracemalloc peak that the memory tests bound."""
 
-from typing import Iterable
+import tracemalloc
+from typing import Callable, Iterable
 
 from hlnet import Graph
 
@@ -38,3 +40,13 @@ def boundary_edges(graph: Graph, vertices: Iterable[int]) -> set[tuple[int, int]
             if w not in xs:
                 out.add((v, w) if v < w else (w, v))
     return out
+
+
+def traced_peak(run: Callable[[], object]) -> int:
+    """Peak bytes that tracemalloc sees allocated while run() executes."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()

@@ -3,6 +3,7 @@ from itertools import combinations
 import pytest
 
 from hlnet import (
+    Graph,
     SearchLimits,
     build_component_cut,
     component_edge_connectivity,
@@ -18,11 +19,15 @@ from hlnet import (
     save_partition,
 )
 
-from helpers import boundary_edges
+from helpers import boundary_edges, traced_peak
 
 
 def naive_min_cut(graph, parts):
-    """Unpruned restricted-growth enumeration; the slow cross-check."""
+    """Unpruned restricted-growth enumeration; the slow cross-check.
+
+    Returns the minimum and the blocks of its first assignment string in
+    search order, which is the lexicographically smallest optimal one.
+    """
     total = graph.vertex_count
     edges = list(graph.edges())
     best = None
@@ -35,8 +40,8 @@ def naive_min_cut(graph, parts):
         if i == total:
             if used == parts:
                 cost = sum(1 for u, v in edges if assign[u] != assign[v])
-                if best is None or cost < best:
-                    best = cost
+                if best is None or cost < best[0]:
+                    best = (cost, assign.copy())
             return
         for b in range(min(used + 1, parts)):
             assign.append(b)
@@ -44,7 +49,21 @@ def naive_min_cut(graph, parts):
             assign.pop()
 
     rec(0, 0)
-    return best
+    cost, assign = best
+    blocks = tuple(tuple(v for v, b in enumerate(assign) if b == i) for i in range(parts))
+    return cost, blocks
+
+
+def relabeled(graph, perm):
+    """The graph with every vertex v renamed perm[v]."""
+    adj = [[] for _ in range(graph.vertex_count)]
+    for u, v in graph.edges():
+        adj[perm[u]].append(perm[v])
+        adj[perm[v]].append(perm[u])
+    return Graph(graph.n, tuple(tuple(sorted(a)) for a in adj))
+
+
+SHUFFLE8 = [3, 7, 0, 5, 1, 6, 2, 4]
 
 
 def naive_max_edges(graph, k):
@@ -190,10 +209,44 @@ def test_min_cut_degenerate(q3):
 @pytest.mark.parametrize(
     "make", [lambda: hypercube(3), g84, lambda: random_hl(3, 5), lambda: random_hl(3, 6)]
 )
-@pytest.mark.parametrize("parts", [2, 3, 4, 5])
+@pytest.mark.parametrize("parts", range(2, 9))
 def test_min_cut_matches_naive(make, parts):
     graph = materialize(make())
-    assert min_component_edge_cut(graph, parts).value == naive_min_cut(graph, parts)
+    result = min_component_edge_cut(graph, parts)
+    value, blocks = naive_min_cut(graph, parts)
+    assert result.value == value
+    # the witness is the smallest optimal assignment string, as documented
+    assert result.witness.blocks == blocks
+
+
+@pytest.mark.parametrize("make", [lambda: hypercube(3), g84])
+@pytest.mark.parametrize("parts", range(2, 9))
+def test_min_cut_witness_on_scrambled_labels(make, parts):
+    # here the first incumbent is rarely optimal, so ties among later
+    # optima decide the witness
+    graph = relabeled(materialize(make()), SHUFFLE8)
+    result = min_component_edge_cut(graph, parts)
+    assert (result.value, result.witness.blocks) == naive_min_cut(graph, parts)
+
+
+@pytest.mark.parametrize(
+    "recipe",
+    [
+        pytest.param(hypercube(3), id="hypercube-3"),
+        pytest.param(g84(), id="g84"),
+        pytest.param(random_hl(3, 5), id="random-3-5"),
+        pytest.param(random_hl(3, 6), id="random-3-6"),
+        pytest.param(random_hl(4, 2), id="random-4-2"),
+    ],
+)
+def test_min_cut_equals_formula_beyond_the_window(recipe):
+    # the paper proves n*g - e(g) exact only for n >= 8 and g <= 2^ceil(n/2);
+    # the partition search finds it for every g < 2^n of these graphs
+    graph = materialize(recipe)
+    n = graph.n
+    for g in range(1, 1 << n):
+        bound = component_edge_connectivity(n, g, "permissive").value
+        assert min_component_edge_cut(graph, g + 1).value == bound
 
 
 def test_min_cut_witness_consistent(g84_graph):
@@ -219,6 +272,30 @@ def test_min_cut_below_construction_bound(q3, g84_graph):
             assert min_component_edge_cut(graph, g + 1).value <= bound
 
 
+@pytest.mark.parametrize("seed", [0, 777])
+def test_min_cut_n5_fits_a_small_node_budget(seed):
+    # the bound on undecided vertices' edges to decided ones settles 4 parts
+    # at n = 5 in about 6 * 10^4 nodes; the other two bounds alone need
+    # about 3.3 * 10^5
+    graph = materialize(random_hl(5, seed))
+    result = min_component_edge_cut(graph, 4, SearchLimits(max_nodes_expanded=150_000))
+    assert result.status == "complete"
+    assert result.value == 13
+
+
+@pytest.mark.parametrize("search", [max_induced_edges, min_component_edge_cut])
+def test_search_tables_stay_small_for_large_k(search):
+    # every table stays O(total^2 * n); a row per vertex and pick count
+    # r <= k would be O(total^2 * k), about 3.4 * 10^7 entries here
+    graph = materialize(random_hl(9, 0))
+    results = []
+    peak = traced_peak(
+        lambda: results.append(search(graph, 256, SearchLimits(max_nodes_expanded=10)))
+    )
+    assert results[0].status == "incomplete"
+    assert peak < 16 << 20
+
+
 def test_min_cut_budget_incomplete(q4):
     result = min_component_edge_cut(q4, 4, SearchLimits(max_nodes_expanded=2))
     assert result.status == "incomplete"
@@ -233,14 +310,7 @@ def test_min_cut_deterministic(q4):
 
 def test_oracles_are_label_invariant(q4):
     # scrambling labels ruins the prefix incumbents; answers must not move
-    from hlnet.recipes import Graph
-
-    perm = [9, 2, 14, 5, 0, 11, 7, 12, 3, 15, 6, 1, 13, 4, 10, 8]
-    adj = [[] for _ in range(16)]
-    for u, v in q4.edges():
-        adj[perm[u]].append(perm[v])
-        adj[perm[v]].append(perm[u])
-    scrambled = Graph(4, tuple(tuple(sorted(a)) for a in adj))
+    scrambled = relabeled(q4, [9, 2, 14, 5, 0, 11, 7, 12, 3, 15, 6, 1, 13, 4, 10, 8])
     for k in (3, 5, 7, 11):
         assert max_induced_edges(scrambled, k).value == extremal_edge_count(k)
     for parts in (2, 3, 4):
@@ -303,15 +373,7 @@ def test_iso_q3_vs_g84(q3, g84_graph):
 
 
 def test_iso_under_relabeling(q3):
-    from hlnet.recipes import Graph
-
-    perm = [3, 7, 0, 5, 1, 6, 2, 4]
-    adj = [[] for _ in range(8)]
-    for u, v in q3.edges():
-        adj[perm[u]].append(perm[v])
-        adj[perm[v]].append(perm[u])
-    shuffled = Graph(3, tuple(tuple(sorted(a)) for a in adj))
-    assert isomorphic_small(q3, shuffled)
+    assert isomorphic_small(q3, relabeled(q3, SHUFFLE8))
 
 
 def test_iso_counts_differ(q3):

@@ -36,7 +36,7 @@ from hlnet import (
 
 from hlnet.recipes import _lean_text
 
-from helpers import boundary_edges, induced_edge_count
+from helpers import boundary_edges, induced_edge_count, traced_peak
 
 Q4 = materialize(hypercube(4))
 G84 = materialize(g84())
@@ -512,19 +512,10 @@ def test_loud_int_recipe_keeps_its_int_subclass():
     assert "Loud" not in dumps_recipe(_LOUD)
 
 
-def _traced_peak(write):
-    tracemalloc.start()
-    try:
-        write()
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_save_recipe_streams_the_document(tmp_path):
     recipe = random_hl(12, 0)
     path = tmp_path / "r12.json"
-    peak = _traced_peak(lambda: save_recipe(recipe, path))
+    peak = traced_peak(lambda: save_recipe(recipe, path))
     assert path.stat().st_size > 3_000_000
     assert peak < 1 << 20
 
@@ -532,7 +523,7 @@ def test_save_recipe_streams_the_document(tmp_path):
 def test_save_graph_streams_the_document(tmp_path):
     graph = materialize(random_hl(12, 0))
     path = tmp_path / "g12.edges"
-    peak = _traced_peak(lambda: save_graph(graph, path))
+    peak = traced_peak(lambda: save_graph(graph, path))
     assert path.stat().st_size > 200_000
     assert peak < 1 << 20
 
@@ -540,7 +531,7 @@ def test_save_graph_streams_the_document(tmp_path):
 def test_load_graph_streams_the_document(tmp_path):
     path = tmp_path / "g12.edges"
     save_graph(materialize(random_hl(12, 0)), path)
-    peak = _traced_peak(lambda: load_graph(path))
+    peak = traced_peak(lambda: load_graph(path))
     assert peak < 3 << 20
 
 
@@ -718,7 +709,7 @@ def test_lean_read_holds_neither_the_whole_text_nor_a_dict_tree(tmp_path):
     save_recipe(recipe, path)
     size = path.stat().st_size
     assert size > 6_000_000
-    peak = _traced_peak(lambda: load_recipe(path))
+    peak = traced_peak(lambda: load_recipe(path))
     assert peak < size
     assert load_recipe(path) == recipe
 
