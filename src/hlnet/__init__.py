@@ -18,10 +18,6 @@ from .formulas import (
     ConnectivityBound,
     PropertyCheck,
     binary_decomposition,
-    check_merge,
-    check_slack,
-    check_strict_increase,
-    check_superadditive,
     component_edge_connectivity,
     extremal_edge_count,
     extremal_edge_increment,
@@ -32,8 +28,6 @@ from .oracles import (
     MinCutResult,
     PartitionWitness,
     SearchLimits,
-    components_after,
-    isomorphic_small,
     max_induced_edges,
     min_component_edge_cut,
     save_partition,

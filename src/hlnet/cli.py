@@ -76,8 +76,6 @@ def _build_parser() -> argparse.ArgumentParser:
                 default="hypercube",
                 help="hypercube | g84 | random[:seed=S] | file:PATH",
             )
-            p.add_argument("--seed", type=int, default=0)
-            p.add_argument("--max-dim", type=int, default=MAX_DIM)
         return p
 
     p = command("gen", "write recipe/graph files", _run_gen)
@@ -150,7 +148,7 @@ def _resolve_recipe(args: argparse.Namespace) -> Recipe:
         if args.n not in (None, 3):
             raise ValueError("g84 is a dim-3 recipe; drop --n or pass --n 3")
         return g84()
-    seed = args.seed
+    seed = 0
     name = source
     if source.startswith("random:"):
         name, _, tail = source.partition(":")
@@ -163,8 +161,8 @@ def _resolve_recipe(args: argparse.Namespace) -> Recipe:
     if args.n is None:
         raise ValueError(f"--n is required with the {name} recipe")
     if name == "hypercube":
-        return hypercube(args.n, max_dim=args.max_dim)
-    return random_hl(args.n, seed, max_dim=args.max_dim)
+        return hypercube(args.n)
+    return random_hl(args.n, seed)
 
 
 # command -> (lowest g, highest g minus 2^n): the g each accepts at dimension n
@@ -179,7 +177,7 @@ def _g_range(args: argparse.Namespace, n: "int | None") -> range:
     if g is None and g_max is None:  # --g-all, as argparse requires one of the three
         if n is None:
             raise ValueError("--g-all needs a dimension")
-        _check_dim(n, MAX_DIM)
+        _check_dim(n)
     gs = range(g, g + 1) if g is not None else range(1, (g_max or 1 << n) + 1)
     lo, top = _G_DOMAIN[args.command]
     # no upper end without n; the shift is capped (huge n) and floored (a cut's n < 0)
@@ -214,7 +212,7 @@ def _run_gen(args: argparse.Namespace):
     if args.recipe_out:
         save_recipe(recipe, args.recipe_out)
     if args.graph_out:
-        save_graph(materialize(recipe, max_dim=args.max_dim), args.graph_out)
+        save_graph(materialize(recipe), args.graph_out)
     if not args.recipe_out and not args.graph_out:
         save_recipe(recipe, args.out or sys.stdout)
     return ()
@@ -239,7 +237,7 @@ def _run_cut(args: argparse.Namespace):
             "g <= 2^ceil(n/2)); the value is an upper bound only",
             file=sys.stderr,
         )
-    graph = materialize(recipe, max_dim=args.max_dim)
+    graph = materialize(recipe)
     cut = build_component_cut(recipe, g)
     report = verify_cut(graph, cut)
     if args.cut_out:
@@ -279,7 +277,7 @@ def _run_oracle_eg(args: argparse.Namespace):
     gs = _g_range(args, recipe.dim)
     if gs[0] < 1 << recipe.dim:  # g = 2^n takes every vertex and runs no search
         _check_search_depth(1 << recipe.dim)
-    graph = materialize(recipe, max_dim=args.max_dim)
+    graph = materialize(recipe)
     for g in gs:
         formula = extremal_edge_count(g)
         result = max_induced_edges(graph, g, limits)
@@ -300,7 +298,7 @@ def _run_oracle_clambda(args: argparse.Namespace):
     if args.witness_out and args.g is None:
         raise ValueError("--witness-out needs a single --g")
     _check_search_depth(1 << n)
-    graph = materialize(recipe, max_dim=args.max_dim)
+    graph = materialize(recipe)
     for g in gs:
         bound = component_edge_connectivity(n, g, "permissive").value
         result = min_component_edge_cut(graph, g + 1, limits)

@@ -100,46 +100,6 @@ def component_edge_connectivity(
 
 
 # ---------------------------------------------------------------------------
-# machine-checkable inequalities for e(g)
-
-
-def check_superadditive(g0: int, g1: int) -> bool:
-    """True iff e(g0 + g1) >= e(g0) + e(g1) + g0, for 1 <= g0 <= g1."""
-    if not 1 <= g0 <= g1:
-        raise ValueError(f"need 1 <= g0 <= g1, got g0={g0}, g1={g1}")
-    return extremal_edge_count(g0 + g1) >= (
-        extremal_edge_count(g0) + extremal_edge_count(g1) + g0
-    )
-
-
-def check_slack(n: int, g: int) -> bool:
-    """True iff (n - 2)*g - 2*e(g) >= 0, for 1 <= g <= 2^(n-2)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if not 1 <= g <= (1 << (n - 2)):
-        raise ValueError(f"g={g} out of range 1..2^(n-2) for n={n}")
-    return (n - 2) * g - 2 * extremal_edge_count(g) >= 0
-
-
-def check_merge(i: int, j: int) -> bool:
-    """True iff e(i + 1) + e(j) <= e(i + j), for 1 <= i <= j."""
-    if not 1 <= i <= j:
-        raise ValueError(f"need 1 <= i <= j, got i={i}, j={j}")
-    return extremal_edge_count(i + 1) + extremal_edge_count(j) <= extremal_edge_count(
-        i + j
-    )
-
-
-def check_strict_increase(n: int, g: int) -> bool:
-    """True iff n*(g+1) - e(g+1) > n*g - e(g), for 1 <= g < 2^ceil(n/2)."""
-    if n < 2:
-        raise ValueError(f"need n >= 2, got {n}")
-    if not 1 <= g < (1 << ((n + 1) // 2)):
-        raise ValueError(f"g={g} out of range 1..2^ceil(n/2)-1 for n={n}")
-    return n * (g + 1) - extremal_edge_count(g + 1) > n * g - extremal_edge_count(g)
-
-
-# ---------------------------------------------------------------------------
 # exhaustive property suite
 
 

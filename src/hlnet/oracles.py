@@ -24,9 +24,9 @@ from dataclasses import dataclass
 from itertools import chain
 from operator import add
 from pathlib import Path
-from typing import IO, Iterable, NamedTuple
+from typing import IO, NamedTuple
 
-from .recipes import Graph, _edge_set, _write_document
+from .recipes import Graph, _write_document
 
 COMPLETE = "complete"
 INCOMPLETE = "incomplete"
@@ -221,11 +221,11 @@ def min_component_edge_cut(
     smallest optimal assignment string.
     """
     total = graph.vertex_count
+    if not 1 <= parts <= total:
+        raise ValueError(f"parts={parts} out of range 1..{total}")
     if parts == 1:
         witness = _partition_witness(graph, [0] * total, 1)
         return MinCutResult(0, witness, COMPLETE)
-    if not 2 <= parts <= total:
-        raise ValueError(f"parts={parts} out of range 2..{total}")
 
     _check_search_depth(total)
     # forward[v]: v's neighbors above v, the undecided ones that v's
@@ -319,96 +319,6 @@ def _partition_witness(graph: Graph, assign: list[int], parts: int) -> Partition
         blocks[b].append(v)
     cross = frozenset((u, v) for u, v in graph.edges() if assign[u] != assign[v])
     return PartitionWitness(tuple(tuple(b) for b in blocks), cross)
-
-
-def components_after(
-    graph: Graph, removed: Iterable[tuple[int, int]]
-) -> PartitionWitness:
-    """Connected components of the graph minus the removed edges.
-
-    Blocks come out ordered by their minimum label.  Raises if a removed
-    pair is not an actual edge.
-    """
-    gone = _edge_set(graph, removed)
-    total = graph.vertex_count
-    comp = [-1] * total
-    count = 0
-    for start in range(total):
-        if comp[start] >= 0:
-            continue
-        comp[start] = count
-        stack = [start]
-        while stack:
-            u = stack.pop()
-            for w in graph.neighbors(u):
-                if comp[w] < 0 and ((u, w) if u < w else (w, u)) not in gone:
-                    comp[w] = count
-                    stack.append(w)
-        count += 1
-    return _partition_witness(graph, comp, count)
-
-
-def isomorphic_small(a: Graph, b: Graph) -> bool:
-    """Exact isomorphism test for graphs on at most 16 vertices.
-
-    Backtracks over vertex maps in a connectivity-first order, pruning with
-    adjacency-row consistency on bit masks.  Every Graph is n-regular, so
-    equal vertex and edge counts already make the degrees compatible.
-    """
-    va, vb = a.vertex_count, b.vertex_count
-    if va > 16 or vb > 16:
-        raise ValueError("isomorphic_small handles at most 16 vertices")
-    if va != vb or a.edge_count != b.edge_count:
-        return False
-    if va == 0:
-        return True
-
-    amask = a.neighbor_masks()
-    bmask = b.neighbor_masks()
-
-    # visit each component of `a` in BFS order so every vertex after the
-    # first has a mapped neighbor constraining its candidates
-    order = []
-    seen = [False] * va
-    for root in range(va):
-        if seen[root]:
-            continue
-        seen[root] = True
-        queue = [root]
-        while queue:
-            u = queue.pop(0)
-            order.append(u)
-            for w in a.neighbors(u):
-                if not seen[w]:
-                    seen[w] = True
-                    queue.append(w)
-
-    image = [-1] * va
-    full = (1 << vb) - 1
-
-    def extend(pos: int, used: int) -> bool:
-        if pos == va:
-            return True
-        v = order[pos]
-        required = 0
-        for w in a.neighbors(v):
-            if image[w] >= 0:
-                required |= 1 << image[w]
-        allowed = full & ~used
-        while allowed:
-            low = allowed & -allowed
-            allowed ^= low
-            cand = low.bit_length() - 1
-            # cand must see exactly the images of v's mapped neighbors
-            if bmask[cand] & used != required:
-                continue
-            image[v] = cand
-            if extend(pos + 1, used | low):
-                return True
-            image[v] = -1
-        return False
-
-    return extend(0, 0)
 
 
 def save_partition(

@@ -20,8 +20,8 @@ from pathlib import Path
 from operator import itemgetter
 from typing import IO, Callable, Collection, Iterable, Iterator
 
-#: Default cap on materializable dimension (2^20 vertices).  Raise it per
-#: call if you really want bigger adjacency tables in memory.
+#: Cap on the dimension of every built or materialized recipe (2^20
+#: vertices), read at each check.
 MAX_DIM = 20
 
 _MASK64 = (1 << 64) - 1
@@ -118,20 +118,20 @@ def split(recipe: Recipe) -> tuple[Recipe, Recipe, tuple[int, ...]]:
     return recipe.left, recipe.right, recipe.matching
 
 
-def _check_dim(n: int, max_dim: int) -> None:
+def _check_dim(n: int) -> None:
     if n < 0:
         raise RecipeError(f"dimension must be non-negative, got {n}")
-    if n > max_dim:
-        raise RecipeError(f"dimension {n} exceeds guard max_dim={max_dim}")
+    if n > MAX_DIM:
+        raise RecipeError(f"dimension {n} exceeds guard max_dim={MAX_DIM}")
 
 
-def hypercube(n: int, max_dim: int = MAX_DIM) -> Recipe:
+def hypercube(n: int) -> Recipe:
     """Recipe for the n-cube: identity matchings at every level.
 
     The materialization has an edge between u and v iff their labels differ
     in exactly one bit.
     """
-    _check_dim(n, max_dim)
+    _check_dim(n)
     r = _LEAF
     for dim in range(1, n + 1):
         r = Recipe(dim, r, r, tuple(range(1 << (dim - 1))))
@@ -180,14 +180,14 @@ def _random_permutation(size: int, seed: int, position: int) -> tuple[int, ...]:
     return tuple(perm)
 
 
-def random_hl(n: int, seed: int, max_dim: int = MAX_DIM) -> Recipe:
+def random_hl(n: int, seed: int) -> Recipe:
     """Sample a dim-n recipe with every matching drawn uniformly.
 
     Each tree node gets its own substream derived from (seed, heap position
     of the node), so the draw is independent per node and reproducible:
     equal arguments give bit-identical recipes.
     """
-    _check_dim(n, max_dim)
+    _check_dim(n)
 
     def build(dim: int, position: int) -> Recipe:
         if dim == 0:
@@ -284,7 +284,7 @@ def _edge_set(graph: Graph, pairs: Iterable[tuple[int, int]]) -> set[tuple[int, 
     return edges
 
 
-def materialize(recipe: Recipe, max_dim: int = MAX_DIM) -> Graph:
+def materialize(recipe: Recipe) -> Graph:
     """Build the labelled graph a recipe describes.
 
     Left halves take the lower label range at every level; the matching of
@@ -295,7 +295,7 @@ def materialize(recipe: Recipe, max_dim: int = MAX_DIM) -> Graph:
     pair per matching entry covers all nodes at once; otherwise each node
     gets one contiguous slice pair, gathered through itemgetter.
     """
-    _check_dim(recipe.dim, max_dim)
+    _check_dim(recipe.dim)
     labels = list(range(1 << recipe.dim))
     columns = []
     # per matching object, so a subtree shared by many nodes builds them once

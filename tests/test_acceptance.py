@@ -7,11 +7,9 @@ lines.  Every tolerance is exact integer equality; nothing is calibrated.
 import time
 
 from hlnet import (
-    components_after,
     extremal_edge_count,
     g84,
     hypercube,
-    isomorphic_small,
     materialize,
     max_induced_edges,
     min_component_edge_cut,
@@ -24,7 +22,7 @@ from hlnet import (
 from hlnet.cli import main
 from hlnet.reports import emit_report
 
-from helpers import induced_edge_count
+from helpers import components_after, induced_edge_count, isomorphic_small
 
 SEEDS = (11, 23, 37, 58, 71)
 

@@ -500,11 +500,15 @@ def test_gen_writes_recipe_to_out_instead_of_stdout(tmp_path, capsys):
 
 
 def test_recipe_seed_forms_agree(capsys):
-    main(["gen", "--n", "4", "--recipe", "random:seed=7"])
+    # random:seed=S is the one way to give a seed, and random alone is seed 0
+    main(["gen", "--n", "4", "--recipe", "random:seed=0"])
     inline = capsys.readouterr().out
-    main(["gen", "--n", "4", "--recipe", "random", "--seed", "7"])
-    flagged = capsys.readouterr().out
-    assert inline == flagged
+    main(["gen", "--n", "4", "--recipe", "random"])
+    assert capsys.readouterr().out == inline
+    assert main(["gen", "--n", "4", "--recipe", "random", "--seed", "7"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "unrecognized arguments: --seed 7" in captured.err
 
 
 @pytest.mark.parametrize("seed", ["--5", "\u00b2", "", "-", "5x"])
@@ -573,10 +577,13 @@ def test_cut_rejects_recipe_document_with_an_integer_too_long_to_read(tmp_path, 
     assert captured.err.count("\n") == 1
 
 
-def test_recipe_file_above_the_dimension_guard_is_a_usage_error(tmp_path, capsys):
+def test_recipe_file_above_the_dimension_guard_is_a_usage_error(
+    tmp_path, monkeypatch, capsys
+):
     path = tmp_path / "r.json"
     main(["gen", "--n", "2", "--recipe-out", str(path)])
-    assert main(["oracle-eg", "--recipe", f"file:{path}", "--g", "1", "--max-dim", "1"]) == 2
+    monkeypatch.setattr("hlnet.recipes.MAX_DIM", 1)
+    assert main(["oracle-eg", "--recipe", f"file:{path}", "--g", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: dimension 2 exceeds guard max_dim=1\n"
@@ -814,13 +821,8 @@ INT_FLAG_GUARDS = {
     **{("suite", flag): f"{GUARD}, then {SUITE_WORK}"
        for flag in ("--g-max", "--n-max", "--i-max", "--n-max-mono")},
     **{
-        (command, flag): guard
+        (command, "--n"): DIMENSION
         for command in ("gen", "cut", "oracle-eg", "oracle-clambda")
-        for flag, guard in (
-            ("--n", DIMENSION),
-            ("--seed", "exempt: picks the matchings and sizes no work"),
-            ("--max-dim", "exempt: it is the dimension guard"),
-        )
     },
     **{
         (command, "--max-nodes"): "exempt: it is itself a search budget"

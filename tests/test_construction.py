@@ -9,7 +9,6 @@ from hlnet import (
     Graph,
     binary_decomposition,
     build_component_cut,
-    components_after,
     extremal_edge_count,
     g84,
     hypercube,
@@ -23,7 +22,7 @@ from hlnet import (
     verify_cut,
 )
 
-from helpers import boundary_edges, induced_edge_count
+from helpers import boundary_edges, components_after, induced_edge_count
 
 
 # --- extremal selection -----------------------------------------------------

@@ -8,15 +8,13 @@ import hlnet.formulas
 from hlnet import (
     PropertyCheck,
     binary_decomposition,
-    check_merge,
-    check_slack,
-    check_strict_increase,
-    check_superadditive,
     component_edge_connectivity,
     extremal_edge_count,
     extremal_edge_increment,
     run_property_suite,
 )
+
+from helpers import check_merge, check_slack, check_strict_increase, check_superadditive
 
 # frozen from the brute-force searches in test_oracles / test_acceptance
 EXTREMAL_VALUES = {0: 0, 1: 0, 2: 1, 3: 2, 4: 4, 5: 5, 6: 7, 7: 9, 8: 12, 16: 32}

@@ -150,9 +150,6 @@ _RECIPE_ARGS = (
     | _cat(
         _flag("--recipe", _BAD_RECIPES),
         _optional(_flag("--n", _N)),
-        _optional(_flag("--seed", st.sampled_from(["-7", "0", "9"]))),
-        # never above the default guard: a raised one lets n = 40 allocate
-        _optional(_flag("--max-dim", st.sampled_from(["-1", "0", "3", "20"]))),
     )
 )
 _LIMITS = _cat(

@@ -6,13 +6,8 @@ from itertools import combinations
 
 import pytest
 
-from hlnet import (
-    build_component_cut,
-    components_after,
-    isomorphic_small,
-    materialize,
-    verify_cut,
-)
+from hlnet import build_component_cut, materialize, verify_cut
+from helpers import components_after, isomorphic_small
 from test_construction import CROSS_CHECK_RECIPES, relabelled
 
 nx = pytest.importorskip("networkx")

@@ -7,11 +7,9 @@ from hlnet import (
     SearchLimits,
     build_component_cut,
     component_edge_connectivity,
-    components_after,
     extremal_edge_count,
     g84,
     hypercube,
-    isomorphic_small,
     materialize,
     max_induced_edges,
     min_component_edge_cut,
@@ -19,7 +17,7 @@ from hlnet import (
     save_partition,
 )
 
-from helpers import boundary_edges, traced_peak
+from helpers import boundary_edges, components_after, isomorphic_small, traced_peak
 
 
 def naive_min_cut(graph, parts):
@@ -200,10 +198,10 @@ def test_min_cut_q3_known_values(q3):
 def test_min_cut_degenerate(q3):
     assert min_component_edge_cut(q3, 1).value == 0
     assert min_component_edge_cut(q3, 8).value == 12
-    with pytest.raises(ValueError):
-        min_component_edge_cut(q3, 9)
-    with pytest.raises(ValueError):
-        min_component_edge_cut(q3, 0)
+    # parts = 1 is accepted (the single block), so the range starts at 1
+    for parts in (0, 9):
+        with pytest.raises(ValueError, match=rf"^parts={parts} out of range 1\.\.8$"):
+            min_component_edge_cut(q3, parts)
 
 
 @pytest.mark.parametrize(

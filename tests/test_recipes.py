@@ -20,7 +20,6 @@ from hlnet import (
     dumps_recipe,
     g84,
     hypercube,
-    isomorphic_small,
     leaf,
     load_cut,
     load_graph,
@@ -36,7 +35,7 @@ from hlnet import (
 
 from hlnet.recipes import _lean_text
 
-from helpers import boundary_edges, induced_edge_count, traced_peak
+from helpers import boundary_edges, induced_edge_count, isomorphic_small, traced_peak
 
 Q4 = materialize(hypercube(4))
 G84 = materialize(g84())
@@ -181,7 +180,6 @@ def test_hypercube_edges_are_single_bit_flips(n):
 def test_hypercube_guard():
     with pytest.raises(RecipeError, match="guard"):
         hypercube(21)
-    hypercube(21, max_dim=21)  # override allowed
 
 
 def test_g84_counts_and_odd_cycle(q3):
@@ -396,10 +394,11 @@ def test_graph_rejects_bad_rows(rows, message):
         Graph(2, rows)
 
 
-def test_materialize_guard():
+def test_materialize_guard(monkeypatch):
     r = hypercube(6)
+    monkeypatch.setattr("hlnet.recipes.MAX_DIM", 5)
     with pytest.raises(RecipeError, match="^dimension 6 exceeds guard max_dim=5$"):
-        materialize(r, max_dim=5)
+        materialize(r)
 
 
 # --- induced / boundary queries -------------------------------------------
