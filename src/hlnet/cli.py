@@ -27,6 +27,7 @@ from .recipes import (
     MAX_DIM,
     Recipe,
     _check_dim,
+    _write_document,
     g84,
     hypercube,
     load_graph,
@@ -208,13 +209,14 @@ def _exit_code(rows) -> int:
 
 
 def _run_gen(args: argparse.Namespace):
+    if args.out and args.recipe_out:
+        raise ValueError("--out and --recipe-out both name the recipe document; give one")
+    recipe_out = args.out or args.recipe_out
     recipe = _resolve_recipe(args)
-    if args.recipe_out:
-        save_recipe(recipe, args.recipe_out)
+    if recipe_out or not args.graph_out:
+        save_recipe(recipe, recipe_out or sys.stdout)
     if args.graph_out:
         save_graph(materialize(recipe), args.graph_out)
-    if not args.recipe_out and not args.graph_out:
-        save_recipe(recipe, args.out or sys.stdout)
     return ()
 
 
@@ -366,12 +368,7 @@ def _run(argv: "list[str] | None") -> int:
                 start = now
             rows.append(row)
         if rows:
-            text = emit_report(rows, args.format)
-            if args.out:
-                with open(args.out, "w") as fh:
-                    fh.write(text)
-            else:
-                sys.stdout.write(text)
+            _write_document(args.out or sys.stdout, [emit_report(rows, args.format)])
         return _exit_code(rows)
     except (ValueError, OSError) as exc:  # RecipeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

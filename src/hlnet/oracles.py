@@ -119,13 +119,15 @@ def max_induced_edges(
     """Exact maximum of |E(G[X])| over all |X| = k, by pruned subset DFS.
 
     Vertices are considered in label order, include-branch first, so the
-    reported witness is the lexicographically smallest optimum.  Two bounds
-    prune, and both read only degrees, never the closed-form value under
-    test: a cheap one charges at most min(|chosen so far|, max degree) edges
-    per future pick; when it fails, a tighter one gives each undecided vertex
-    w the score 2|N(w) ∩ chosen| + min(r - 1, |N(w) ∩ undecided|) and
-    charges half the sum of the r largest scores, r being the picks left.
-    Both prune only branches that cannot strictly beat the incumbent, so the
+    reported witness is the lexicographically smallest optimum.  One bound
+    prunes, reading only degrees, never the closed-form value under test:
+    with r picks left, undecided w scores 2a + min(r - 1, p), a and p being
+    its degrees into the chosen and undecided vertices, and the picks gain
+    at most half the sum of the r largest scores.  As a <= c (the picks
+    made) and a + p <= n (rows of n distinct other vertices, as materialize
+    and load_graph give), that half-sum is at most sum_{j<r} min(c + j, n):
+    charging the j-th future pick min(c + j, n) edges prunes nothing more.
+    It prunes only branches that cannot strictly beat the incumbent, so the
     witness stays the smallest optimum.
     """
     total = graph.vertex_count
@@ -137,10 +139,6 @@ def max_induced_edges(
     _check_search_depth(total)
     masks = graph.neighbor_masks()
     rows = list(zip(*graph.columns))
-    # gain_tail[c] bounds the edges gained by the remaining k - c picks
-    gain_tail = [0] * (k + 1)
-    for c in range(k - 1, -1, -1):
-        gain_tail[c] = gain_tail[c + 1] + min(c, graph.n)
     # pool_degree[v][w - v] = |N(w) ∩ {v..total-1}|: the undecided vertices
     # at depth v are the pool a pick w shares edges with (a degree is at most
     # n, so each row fits in bytes)
@@ -171,8 +169,6 @@ def max_induced_edges(
                 best_mask = chosen
             return
         if total - v < k - count:
-            return
-        if value + gain_tail[count] <= best:
             return
         # r pool picks F gain sum_{w in F} (2|N(w) ∩ chosen| + |N(w) ∩ F|) / 2
         # edges, and each |N(w) ∩ F| <= min(r - 1, |N(w) ∩ pool|)

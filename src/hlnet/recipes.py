@@ -18,7 +18,7 @@ from functools import partial
 from itertools import chain
 from pathlib import Path
 from operator import itemgetter
-from typing import IO, Callable, Collection, Iterable, Iterator
+from typing import IO, Collection, Iterable, Iterator
 
 #: Cap on the dimension of every built or materialized recipe (2^20
 #: vertices), read at each check.
@@ -337,15 +337,14 @@ _CHUNK = 1 << 20  # characters per read of a recipe document
 _INDENT = re.compile(r"\n[ \t]+")
 
 
-def _recipe_from_obj(
-    obj: object, path: str, child: "Callable[[object, str], Recipe] | None" = None
-) -> Recipe:
+def _recipe_from_obj(obj: object, path: str) -> Recipe:
     """The Recipe of a decoded recipe object, or a RecipeError that names the
-    JSON path of the first fault.  These are the one set of per-node rules.
-
-    ``child(value, path)`` gives the Recipe of each child value; by default
-    the child objects are read the same way, depth first.
+    JSON path of the first fault.  These are the one set of per-node rules;
+    children are read the same way, depth first.  A Recipe passes through
+    unchanged: the lean read has already built it by these rules.
     """
+    if isinstance(obj, Recipe):
+        return obj
     if not isinstance(obj, dict):
         raise RecipeError(f"{path}: expected an object, got {type(obj).__name__}")
     dim = obj.get("dim")
@@ -360,9 +359,8 @@ def _recipe_from_obj(
         raise RecipeError(f"{path}: dim {dim} recipe needs a 'node' object")
     if dim == 0:
         raise RecipeError(f"{path}: dim 0 recipe must be a leaf")
-    child = child or _recipe_from_obj
-    left = child(node.get("left"), path + ".node.left")
-    right = child(node.get("right"), path + ".node.right")
+    left = _recipe_from_obj(node.get("left"), path + ".node.left")
+    right = _recipe_from_obj(node.get("right"), path + ".node.right")
     if left.dim != dim - 1 or right.dim != dim - 1:
         raise RecipeError(
             f"{path}: children of dim {dim} node must have dim {dim - 1}, "
@@ -377,26 +375,12 @@ def _recipe_from_obj(
         raise RecipeError(f"{path}.node.matching: {exc}") from None
 
 
-def _built(value: object, path: str) -> Recipe:
-    """The child rule of the lean read: json has already built the child."""
-    if not isinstance(value, Recipe):
-        raise RecipeError(f"{path}: not a recipe object in the written layout")
-    return value
-
-
-_LEAF_KEYS = frozenset(("dim", "leaf"))
-_NODE_KEYS = frozenset(("dim", "node"))
-
-
 def _build_as_decoded(obj: dict) -> object:
     """object_hook of the lean read.  json decodes bottom-up, so a recipe
-    object's children are Recipes by the time it closes.  An object with
-    exactly the keys the writer gives a leaf or a node becomes its Recipe;
-    any other object stays a dict, which its parent then rejects."""
-    keys = obj.keys()
-    if keys == _NODE_KEYS or (keys == _LEAF_KEYS and obj["leaf"] is True):
-        return _recipe_from_obj(obj, "$", _built)
-    return obj
+    object's children are Recipes by the time it closes.  Every object with
+    a 'dim' key becomes its Recipe by _recipe_from_obj's rules; the others,
+    a node's {"left", "right", "matching"} objects, stay dicts."""
+    return _recipe_from_obj(obj, "$") if "dim" in obj else obj
 
 
 def _recipe_chunks(recipe: Recipe) -> Iterator[str]:
@@ -516,13 +500,13 @@ def _lean_text(path: "str | Path") -> str:
     return "".join(pieces)
 
 
-def _loads_lean(text: str) -> "Recipe | None":
-    """The Recipe of a document in the written layout, each node built as
-    its object closes; None for anything else (bad JSON, other keys, a
-    recipe error), which loads_recipe then reports."""
+def _loads_lean(path: "str | Path") -> "Recipe | None":
+    """The Recipe of the document at path, each node built as its object
+    closes; None for anything else (bad JSON, undecodable bytes, a recipe
+    error), which loads_recipe then reports."""
     try:
-        recipe = json.loads(text, object_hook=_build_as_decoded)
-    except (ValueError, RecursionError):  # RecipeError is a ValueError
+        recipe = json.loads(_lean_text(path), object_hook=_build_as_decoded)
+    except (ValueError, RecursionError):  # RecipeError, UnicodeDecodeError too
         return None
     return recipe if isinstance(recipe, Recipe) else None
 
@@ -532,18 +516,16 @@ def load_recipe(source: "str | Path | IO[str]") -> Recipe:
 
     The text comes in chunks with its indentation dropped, and json.loads
     builds each Recipe as its object closes, so neither the file's whole
-    text nor a dict tree of the document is ever held.  A path whose
-    document this does not accept, undecodable bytes included, is read
-    again whole through loads_recipe, so every error is the one
-    loads_recipe gives for the file's text.  An open stream, which cannot
-    be read twice, is read whole through loads_recipe.
+    text nor a dict tree of the document is ever held.  Each object is
+    built by the same rules as loads_recipe's walk, so the result is the
+    same Recipe.  A path whose document this does not accept, undecodable
+    bytes included, is read again whole through loads_recipe, so every
+    error is the one loads_recipe gives for the file's text.  An open
+    stream, which cannot be read twice, is read whole through loads_recipe.
     """
     if hasattr(source, "read"):
         return loads_recipe(source.read())  # type: ignore[union-attr]
-    try:
-        recipe = _loads_lean(_lean_text(source))
-    except UnicodeDecodeError:  # the whole read raises it at the file's offset
-        recipe = None
+    recipe = _loads_lean(source)
     return loads_recipe(Path(source).read_text()) if recipe is None else recipe
 
 

@@ -499,6 +499,30 @@ def test_gen_writes_recipe_to_out_instead_of_stdout(tmp_path, capsys):
     assert out.read_text() == stdout_doc
 
 
+def test_gen_writes_out_alongside_the_graph(tmp_path, capsys):
+    main(["gen", "--n", "3", "--recipe", "random:seed=4"])
+    stdout_doc = capsys.readouterr().out
+    out, graph = tmp_path / "o.json", tmp_path / "g.edges"
+    argv = ["gen", "--n", "3", "--recipe", "random:seed=4", "--out", str(out)]
+    assert main(argv + ["--graph-out", str(graph)]) == 0
+    assert capsys.readouterr().out == ""
+    assert out.read_text() == stdout_doc
+    assert graph.read_text().startswith("# hl-graph n=3 ")
+
+
+def test_gen_takes_one_recipe_destination(tmp_path, capsys):
+    out, recipe_out = tmp_path / "o.json", tmp_path / "r.json"
+    # checked before the recipe is built, so the dimension guard does not speak
+    argv = ["gen", "--n", "21", "--out", str(out), "--recipe-out", str(recipe_out)]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: --out and --recipe-out both name the recipe document; give one\n"
+    )
+    assert not out.exists() and not recipe_out.exists()
+
+
 def test_recipe_seed_forms_agree(capsys):
     # random:seed=S is the one way to give a seed, and random alone is seed 0
     main(["gen", "--n", "4", "--recipe", "random:seed=0"])

@@ -140,8 +140,8 @@ def test_max_edges_matches_naive(recipe):
 
 @pytest.mark.parametrize("seed", [0, 777])
 def test_max_edges_n5_fits_a_small_node_budget(seed):
-    # the degree bound settles k = 8 at n = 5 in about 10^4 nodes; the
-    # min(|chosen|, n) bound alone needs about 2 * 10^6
+    # the degree bound settles k = 8 at n = 5 in about 10^4 nodes; charging
+    # each pick min(|chosen|, n) edges alone would need about 2 * 10^6
     graph = materialize(random_hl(5, seed))
     result = max_induced_edges(graph, 8, SearchLimits(max_nodes_expanded=100_000))
     assert result.status == "complete"
@@ -279,6 +279,28 @@ def test_min_cut_n5_fits_a_small_node_budget(seed):
     result = min_component_edge_cut(graph, 4, SearchLimits(max_nodes_expanded=150_000))
     assert result.status == "complete"
     assert result.value == 13
+
+
+# nodes each complete search expands on random_hl(5, 11): k = 1..8 for the
+# subset search, parts = 2..4 for the partition search
+_PINNED_TREES = [
+    (max_induced_edges, [0, 0, 141, 129, 1452, 3684, 8382, 9414]),
+    (min_component_edge_cut, [249, 3818, 63184]),
+]
+
+
+@pytest.mark.parametrize("search, nodes", _PINNED_TREES, ids=["subset", "partition"])
+def test_search_trees_are_pinned(search, nodes):
+    # a budget of exactly the tree's node count completes, one less does not,
+    # so any change to a bound or to the search order shows here
+    graph = materialize(random_hl(5, 11))
+    first = 1 if search is max_induced_edges else 2
+    for size, n_nodes in enumerate(nodes, start=first):
+        result = search(graph, size, SearchLimits(max_nodes_expanded=n_nodes))
+        assert result.status == "complete", (size, n_nodes)
+        if n_nodes:
+            short = search(graph, size, SearchLimits(max_nodes_expanded=n_nodes - 1))
+            assert short.status == "incomplete", (size, n_nodes)
 
 
 @pytest.mark.parametrize("search", [max_induced_edges, min_component_edge_cut])

@@ -701,6 +701,26 @@ def test_lean_read_across_chunk_boundaries(chunk, tmp_path, monkeypatch):
         assert lean == re.sub(r"\n[ \t]+", "\n", path.read_text())
 
 
+def test_lean_read_takes_extra_keys_and_truthy_leaves(tmp_path, monkeypatch):
+    def annotate(obj):
+        if "leaf" in obj:
+            return {"dim": 0, "leaf": 1}
+        node = obj["node"]
+        node.update(left=annotate(node["left"]), right=annotate(node["right"]), note=1)
+        return {**obj, "note": "x"}
+
+    text = json.dumps(annotate(json.loads(_CANONICAL["random_hl"])), indent=2) + "\n"
+    path = tmp_path / "r.json"
+    path.write_text(text)
+    expected = loads_recipe(text)
+
+    def no_whole_read(text):
+        raise AssertionError("the lean read fell back to the whole read")
+
+    monkeypatch.setattr("hlnet.recipes.loads_recipe", no_whole_read)
+    assert load_recipe(path) == expected == random_hl(5, 3)
+
+
 def test_lean_read_holds_neither_the_whole_text_nor_a_dict_tree(tmp_path):
     # the whole read peaks above twice the file's size: its bytes and its text
     recipe = hypercube(13)
