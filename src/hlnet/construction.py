@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import IO, Iterable
 
 from .formulas import binary_decomposition
-from .recipes import Graph, Recipe, _edge_set, _read_edge_list, _write_document, split
+from .recipes import Graph, Recipe, _read_edge_list, _write_document, split
 
 
 def _check_budget(recipe: Recipe, g: int) -> None:
@@ -87,13 +87,15 @@ def verify_cut(graph: Graph, cut_edges: Iterable[tuple[int, int]]) -> CutReport:
     Each component grows by whole frontiers: the next frontier is the image
     of the current one under every neighbor column, less the vertices seen
     so far.  Only the endpoints of cut edges take a filtered neighbor list
-    instead.  Every vertex is visited.  The traversal here is intentionally
-    separate from the oracle module's component search so the two can
-    cross-check each other.
+    instead.  Every vertex is visited.  The tests cross-check this against
+    tests/helpers.components_after, a separate traversal with its own edge
+    check.  A pair that is not an edge raises ValueError, and a pair given
+    in both orders counts once.
     """
-    gone = _edge_set(graph, cut_edges)
     cut_at: defaultdict[int, set[int]] = defaultdict(set)
-    for u, v in gone:
+    for u, v in cut_edges:
+        if not graph.has_edge(*((u, v) if u < v else (v, u))):
+            raise ValueError(f"pair ({u}, {v}) is not an edge of the graph")
         cut_at[u].add(v)
         cut_at[v].add(u)
     kept = {
@@ -128,7 +130,9 @@ def verify_cut(graph: Graph, cut_edges: Iterable[tuple[int, int]]) -> CutReport:
         components += 1
         if size == 1:
             isolated += 1
-    return CutReport(len(gone), components, isolated)
+    # each distinct unordered pair once, at its lower end
+    cut_size = sum(u <= v for u, out in cut_at.items() for v in out)
+    return CutReport(cut_size, components, isolated)
 
 
 def save_cut(

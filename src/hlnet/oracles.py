@@ -137,14 +137,16 @@ def max_induced_edges(
         return MaxEdgesResult(graph.edge_count, tuple(range(total)), COMPLETE)
 
     _check_search_depth(total)
-    masks = graph.neighbor_masks()
     rows = list(zip(*graph.columns))
     # pool_degree[v][w - v] = |N(w) ∩ {v..total-1}|: the undecided vertices
     # at depth v are the pool a pick w shares edges with (a degree is at most
     # n, so each row fits in bytes)
-    pool_degree = [
-        bytes((masks[w] >> v).bit_count() for w in range(v, total)) for v in range(total)
-    ]
+    degree = [len(row) for row in rows]
+    pool_degree = []
+    for v, row in enumerate(rows):
+        pool_degree.append(bytes(degree[v:]))
+        for w in row:  # v leaves the pool of every later depth
+            degree[w] -= 1
     # capped[c][v] = min(c, pool_degree[v]); with r picks left the bound caps
     # at c = r - 1, which changes a row only while c < n
     capped = []
@@ -156,9 +158,8 @@ def max_induced_edges(
 
     # the first k labels seed the incumbent; they are also the smallest
     # possible witness, so later strict improvements keep the tie-break
-    seed_mask = (1 << k) - 1
-    best = sum((masks[v] & seed_mask).bit_count() for v in range(k)) // 2
-    best_mask = seed_mask
+    best = sum(w < k for v in range(k) for w in rows[v]) // 2
+    best_mask = (1 << k) - 1
     budget = _Budget(limits)
 
     def dfs(v: int, chosen: int, count: int, value: int) -> None:

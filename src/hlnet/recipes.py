@@ -222,16 +222,12 @@ class Graph:
             if len(row) != n:
                 raise ValueError(f"vertex {v} has degree {len(row)}, expected {n}")
             checked.append(row)
-        # one shared int object per label, as in materialize; the lookup
-        # also rejects labels outside the graph
-        labels = range(len(checked))
-        label = dict(zip(labels, labels))
-        try:
-            columns = tuple(list(map(label.__getitem__, col)) for col in zip(*checked))
-        except KeyError as exc:
-            raise ValueError(
-                f"neighbor {exc.args[0]!r} outside 0..{len(checked) - 1}"
-            ) from None
+        columns = tuple(map(list, zip(*checked)))
+        last = len(checked) - 1
+        for col in columns:  # column by column, so the first offender is column-major
+            if min(col) < 0 or max(col) > last:
+                bad = next(u for u in col if not 0 <= u <= last)
+                raise ValueError(f"neighbor {bad!r} outside 0..{last}")
         self.n = n
         self.vertex_count = len(checked)
         self.columns = columns
@@ -261,27 +257,8 @@ class Graph:
                 if u < v:
                     yield (u, v)
 
-    def neighbor_masks(self) -> list[int]:
-        """Adjacency rows as bit masks.  Intended for small graphs only."""
-        masks = [0] * self.vertex_count
-        for col in self.columns:
-            for u, v in enumerate(col):
-                masks[u] |= 1 << v
-        return masks
-
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, vertices={self.vertex_count}, edges={self.edge_count})"
-
-
-def _edge_set(graph: Graph, pairs: Iterable[tuple[int, int]]) -> set[tuple[int, int]]:
-    """The pairs as (low, high) edges; raises on a pair that is not an edge."""
-    edges = set()
-    for u, v in pairs:
-        e = (u, v) if u < v else (v, u)
-        if not graph.has_edge(*e):
-            raise ValueError(f"pair ({u}, {v}) is not an edge of the graph")
-        edges.add(e)
-    return edges
 
 
 def materialize(recipe: Recipe) -> Graph:
@@ -553,7 +530,9 @@ def load_graph(source: "str | Path | IO[str]") -> Graph:
     if n < 0 or vertices.bit_length() != n + 1 or vertices != 1 << n:
         raise ValueError(f"header claims {vertices} vertices for dim {n}")
     neighbors: defaultdict[int, list[int]] = defaultdict(list)
-    label: dict[int, int] = {}  # one shared int object per label, as in materialize
+    # the graph's one label table: one shared int object per label, as in
+    # materialize; Graph keeps the ints it is given
+    label: dict[int, int] = {}
     overfull: set[tuple[int, int]] = set()  # edges past the n-th entry of their row
     for u, v in pairs:
         if not (0 <= u < v < vertices):
@@ -569,7 +548,6 @@ def load_graph(source: "str | Path | IO[str]") -> Graph:
     count = sum(map(len, neighbors.values())) // 2
     if count != edges:
         raise ValueError(f"header claims {edges} edges, found {count}")
-    del label  # Graph builds its own label table; free this one first
     # Graph checks each row's degree as it comes, so with n >= 1 the first
     # vertex no edge touches ends the scan
     return Graph(n, (neighbors.get(v, ()) for v in range(vertices)))

@@ -7,8 +7,9 @@ package because no command runs it:
 * vertex-set queries on materialized graphs (induced_edge_count,
   boundary_edges), independent counts next to the cut construction and the
   oracles;
-* components_after, the traversal that cross-checks verify_cut, and
-  isomorphic_small, an exact isomorphism test for small graphs;
+* components_after, the traversal that cross-checks verify_cut, with its
+  own edge check; neighbor_masks, bit-mask adjacency rows for small graphs;
+  and isomorphic_small, an exact isomorphism test for small graphs;
 * traced_peak, the tracemalloc peak that the memory tests bound.
 """
 
@@ -17,7 +18,6 @@ from typing import Callable, Iterable
 
 from hlnet import Graph, formulas
 from hlnet.oracles import PartitionWitness, _partition_witness
-from hlnet.recipes import _edge_set
 
 
 # ---------------------------------------------------------------------------
@@ -107,7 +107,12 @@ def components_after(
     Blocks come out ordered by their minimum label.  Raises if a removed
     pair is not an actual edge.
     """
-    gone = _edge_set(graph, removed)
+    gone = set()
+    for u, v in removed:
+        e = (u, v) if u < v else (v, u)
+        if not graph.has_edge(*e):
+            raise ValueError(f"pair ({u}, {v}) is not an edge of the graph")
+        gone.add(e)
     total = graph.vertex_count
     comp = [-1] * total
     count = 0
@@ -126,6 +131,15 @@ def components_after(
     return _partition_witness(graph, comp, count)
 
 
+def neighbor_masks(graph: Graph) -> list[int]:
+    """Adjacency rows as bit masks, for small graphs."""
+    masks = [0] * graph.vertex_count
+    for col in graph.columns:
+        for u, v in enumerate(col):
+            masks[u] |= 1 << v
+    return masks
+
+
 def isomorphic_small(a: Graph, b: Graph) -> bool:
     """Exact isomorphism test for graphs on at most 16 vertices.
 
@@ -141,7 +155,7 @@ def isomorphic_small(a: Graph, b: Graph) -> bool:
     if va == 0:
         return True
 
-    bmask = b.neighbor_masks()
+    bmask = neighbor_masks(b)
 
     # visit each component of `a` in BFS order so every vertex after the
     # first has a mapped neighbor constraining its candidates

@@ -192,6 +192,18 @@ def test_verify_rejects_out_of_range_pair(q3, pair):
         verify_cut(q3, {pair})
 
 
+def test_verify_counts_a_pair_given_in_both_orders_once(q3):
+    both = verify_cut(q3, {(0, 1), (1, 0)})
+    assert both == verify_cut(q3, {(0, 1)})
+    assert both.cut_size == 1
+
+
+def test_verify_names_a_bad_pair_in_the_order_given(q3):
+    message = r"^pair \(5001, 5000\) is not an edge of the graph$"
+    with pytest.raises(ValueError, match=message):
+        verify_cut(q3, {(5001, 5000)})
+
+
 def test_verify_two_adjacent_stars_cross_checked(q3):
     # all edges at 0 and at 1 (their shared edge appears once)
     cut = boundary_edges(q3, [0]) | boundary_edges(q3, [1])

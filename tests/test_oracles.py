@@ -17,7 +17,13 @@ from hlnet import (
     save_partition,
 )
 
-from helpers import boundary_edges, components_after, isomorphic_small, traced_peak
+from helpers import (
+    boundary_edges,
+    components_after,
+    isomorphic_small,
+    neighbor_masks,
+    traced_peak,
+)
 
 
 def naive_min_cut(graph, parts):
@@ -66,7 +72,7 @@ SHUFFLE8 = [3, 7, 0, 5, 1, 6, 2, 4]
 
 def naive_max_edges(graph, k):
     """Unpruned scan of every k-subset in order; the first densest one wins."""
-    masks = graph.neighbor_masks()
+    masks = neighbor_masks(graph)
     best = None
     for subset in combinations(range(graph.vertex_count), k):
         mask = sum(1 << v for v in subset)

@@ -387,6 +387,8 @@ def test_graph_rows_become_columns():
         ([(1, 2), (0, 3), (0, 3), (1, 2, 0)], "vertex 3 has degree 3, expected 2"),
         ([(1, 2), (0, 3), (0, 4), (1, 2)], "neighbor 4 outside 0..3"),
         ([(1, -1), (0, 3), (0, 3), (1, 2)], "neighbor -1 outside 0..3"),
+        # the first offender in column-major order, not in row order
+        ([(1, 9), (0, 3), (8, 3), (1, 2)], "neighbor 8 outside 0..3"),
     ],
 )
 def test_graph_rejects_bad_rows(rows, message):
@@ -775,6 +777,14 @@ def test_graph_file_round_trip(tmp_path):
     assert list(loaded.edges()) == list(g.edges())
     header = path.read_text().splitlines()[0]
     assert header == "# hl-graph n=4 vertices=16 edges=32"
+
+
+def test_loaded_graph_shares_one_int_per_label(tmp_path):
+    # n = 9 puts labels 257..511 above the interpreter's small-int cache
+    path = tmp_path / "g.edges"
+    save_graph(materialize(random_hl(9, 4)), path)
+    g = load_graph(path)
+    assert len({id(x) for col in g.columns for x in col}) == g.vertex_count
 
 
 ROUND_TRIP_RECIPES = [hypercube(n) for n in range(1, 9)] + [
