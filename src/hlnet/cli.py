@@ -11,7 +11,6 @@ import argparse
 import gc
 import sys
 import time
-from dataclasses import replace
 
 from .construction import CutReport, build_component_cut, load_cut, save_cut, verify_cut
 from .formulas import component_edge_connectivity, extremal_edge_count, run_property_suite
@@ -37,7 +36,7 @@ from .recipes import (
     save_graph,
     save_recipe,
 )
-from .reports import ReportRow, emit_report
+from .reports import CELL_COLUMNS, FORMATS, emit_report
 
 _FAIL_TOKENS = {
     "fail",
@@ -63,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def command(name: str, summary: str, handler, recipe: bool = True):
         p = sub.add_parser(name, help=summary)
         p.set_defaults(handler=handler)
-        p.add_argument("--format", choices=("csv", "json", "text"), default="text")
+        p.add_argument("--format", choices=FORMATS, default="text")
         p.add_argument("--out", help="write the report here instead of stdout")
         p.add_argument(
             "--timing",
@@ -195,12 +194,13 @@ def _check_guard(flag: str, value: int) -> None:
         raise ValueError(f"{flag} {value} exceeds the guard 2^{MAX_DIM} = {1 << MAX_DIM}")
 
 
+def _cell_row(n, g, formula, construction, oracle, status: str) -> dict:
+    """One experiment cell's row, keyed by reports.CELL_COLUMNS, with elapsed_ms 0."""
+    return dict(zip(CELL_COLUMNS, (n, g, formula, construction, oracle, status, 0)))
+
+
 def _exit_code(rows) -> int:
-    tokens = {
-        str(row.status if isinstance(row, ReportRow) else row.get("status", ""))
-        .split(";")[0]
-        for row in rows
-    }
+    tokens = {row["status"].split(";")[0] for row in rows}
     if tokens & _FAIL_TOKENS:
         return EXIT_CHECK_FAILED
     if "incomplete" in tokens:
@@ -226,7 +226,7 @@ def _run_eg(args: argparse.Namespace):
         raise ValueError(f"--n must be non-negative, got {n}")
     _check_guard("--g-max", args.g_max or 0)
     for g in _g_range(args, args.n):
-        yield ReportRow(n, g, extremal_edge_count(g), None, None, "ok")
+        yield _cell_row(n, g, extremal_edge_count(g), None, None, "ok")
 
 
 def _run_cut(args: argparse.Namespace):
@@ -258,7 +258,7 @@ def _run_verify(args: argparse.Namespace):
     return [_cut_row(n, g, predicted, verify_cut(graph, cut))]
 
 
-def _cut_row(n: int, g: int, predicted: int, report: CutReport) -> ReportRow:
+def _cut_row(n: int, g: int, predicted: int, report: CutReport) -> dict:
     """The one report row of cut and verify: the cut against n*g - e(g)."""
     if report.cut_size != predicted:
         token = "size-mismatch"
@@ -270,7 +270,7 @@ def _cut_row(n: int, g: int, predicted: int, report: CutReport) -> ReportRow:
         f"{token};components={report.component_count};"
         f"isolated={report.isolated_count}"
     )
-    return ReportRow(n, g, predicted, report.cut_size, None, status)
+    return _cell_row(n, g, predicted, report.cut_size, None, status)
 
 
 def _run_oracle_eg(args: argparse.Namespace):
@@ -289,7 +289,7 @@ def _run_oracle_eg(args: argparse.Namespace):
             status = "ok"
         else:
             status = "mismatch"
-        yield ReportRow(recipe.dim, g, formula, None, result.value, status)
+        yield _cell_row(recipe.dim, g, formula, None, result.value, status)
 
 
 def _run_oracle_clambda(args: argparse.Namespace):
@@ -314,7 +314,7 @@ def _run_oracle_clambda(args: argparse.Namespace):
             status = "gap"
         if args.witness_out:
             save_partition(result.witness, args.witness_out)
-        yield ReportRow(n, g, bound, None, result.value, status)
+        yield _cell_row(n, g, bound, None, result.value, status)
 
 
 def _run_suite(args: argparse.Namespace):
@@ -362,9 +362,9 @@ def _run(argv: "list[str] | None") -> int:
         rows = []
         start = time.monotonic()
         for row in args.handler(args):
-            if args.timing and isinstance(row, ReportRow):
+            if args.timing and "elapsed_ms" in row:
                 now = time.monotonic()
-                row = replace(row, elapsed_ms=int((now - start) * 1000))
+                row["elapsed_ms"] = int((now - start) * 1000)
                 start = now
             rows.append(row)
         if rows:

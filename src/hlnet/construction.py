@@ -141,8 +141,8 @@ def save_cut(
     g: int,
     destination: "str | Path | IO[str]",
 ) -> None:
-    """Write a cut as an edge list under an '# hl-cut' header."""
-    ordered = sorted((u, v) if u < v else (v, u) for u, v in edges)
+    """Write a cut under an '# hl-cut' header, each unordered pair once as u < v."""
+    ordered = sorted({(u, v) if u < v else (v, u) for u, v in edges})
     header = f"# hl-cut n={n} g={g} size={len(ordered)}\n"
     lines = (f"{u} {v}\n" for u, v in ordered)
     _write_document(destination, chain([header], lines))

@@ -216,18 +216,26 @@ class Graph:
     __slots__ = ("n", "vertex_count", "columns")
 
     def __init__(self, n: int, rows: Iterable[Collection[int]]) -> None:
-        """Turn per-vertex neighbor rows into columns; every row must have n entries."""
+        """Turn the neighbor rows of a simple undirected n-regular graph into columns."""
         checked = []
         for v, row in enumerate(rows):
             if len(row) != n:
                 raise ValueError(f"vertex {v} has degree {len(row)}, expected {n}")
-            checked.append(row)
+            checked.append(tuple(row))
         columns = tuple(map(list, zip(*checked)))
         last = len(checked) - 1
         for col in columns:  # column by column, so the first offender is column-major
             if min(col) < 0 or max(col) > last:
                 bad = next(u for u in col if not 0 <= u <= last)
                 raise ValueError(f"neighbor {bad!r} outside 0..{last}")
+        for v, row in enumerate(checked):
+            for i, w in enumerate(row):
+                if w == v:
+                    raise ValueError(f"vertex {v} lists itself as neighbor {w}")
+                if w in row[:i]:
+                    raise ValueError(f"vertex {v} lists neighbor {w} twice")
+                if v not in checked[w]:
+                    raise ValueError(f"vertex {v} lists {w}, but {w} does not list {v}")
         self.n = n
         self.vertex_count = len(checked)
         self.columns = columns
@@ -530,8 +538,7 @@ def load_graph(source: "str | Path | IO[str]") -> Graph:
     if n < 0 or vertices.bit_length() != n + 1 or vertices != 1 << n:
         raise ValueError(f"header claims {vertices} vertices for dim {n}")
     neighbors: defaultdict[int, list[int]] = defaultdict(list)
-    # the graph's one label table: one shared int object per label, as in
-    # materialize; Graph keeps the ints it is given
+    # one shared int object per label, as in materialize; the columns keep them
     label: dict[int, int] = {}
     overfull: set[tuple[int, int]] = set()  # edges past the n-th entry of their row
     for u, v in pairs:
@@ -548,6 +555,9 @@ def load_graph(source: "str | Path | IO[str]") -> Graph:
     count = sum(map(len, neighbors.values())) // 2
     if count != edges:
         raise ValueError(f"header claims {edges} edges, found {count}")
-    # Graph checks each row's degree as it comes, so with n >= 1 the first
-    # vertex no edge touches ends the scan
-    return Graph(n, (neighbors.get(v, ()) for v in range(vertices)))
+    # the pairs were ordered, in range, distinct and entered at both ends, so
+    # only degrees remain; with n >= 1 the first vertex no edge touches ends this
+    for v in range(vertices):
+        if len(neighbors[v]) != n:
+            raise ValueError(f"vertex {v} has degree {len(neighbors[v])}, expected {n}")
+    return Graph._from_columns(n, map(list, zip(*map(neighbors.get, range(vertices)))))

@@ -10,45 +10,32 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import asdict, dataclass
 
 FORMATS = ("csv", "json", "text")
 
-
-@dataclass(frozen=True)
-class ReportRow:
-    """One experiment cell.  Values absent for a command stay None."""
-
-    n: int
-    g: int
-    formula_value: "int | None"
-    construction_value: "int | None"
-    oracle_value: "int | None"
-    status: str
-    elapsed_ms: int = 0
+#: The keys of an experiment cell's row, in order, and the header of an empty report.
+CELL_COLUMNS = ("n", "g", "formula_value", "construction_value", "oracle_value",
+                "status", "elapsed_ms")
 
 
-def emit_report(rows, fmt: str) -> str:
-    """Serialize rows (ReportRow or uniform dicts) to one of FORMATS."""
+def emit_report(rows: "list[dict]", fmt: str) -> str:
+    """Serialize rows, dicts keyed by the report's columns in order, to one of FORMATS."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
-    dicts = [asdict(r) if isinstance(r, ReportRow) else dict(r) for r in rows]
-    columns = list(dicts[0]) if dicts else list(ReportRow.__dataclass_fields__)
+    columns = list(rows[0]) if rows else list(CELL_COLUMNS)
     if fmt == "json":
-        return json.dumps(dicts, indent=2) + "\n"
+        return json.dumps(rows, indent=2) + "\n"
     if fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerow(columns)
-        for d in dicts:
+        for d in rows:
             writer.writerow(["" if d[c] is None else d[c] for c in columns])
         return buf.getvalue()
-    cells = [[("-" if d[c] is None else str(d[c])) for c in columns] for d in dicts]
-    widths = [
-        max(len(columns[i]), max((len(row[i]) for row in cells), default=0))
-        for i in range(len(columns))
-    ]
-    lines = ["  ".join(c.ljust(w) for c, w in zip(columns, widths)).rstrip()]
-    for row in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+    cells = [columns]
+    cells += [[("-" if d[c] is None else str(d[c])) for c in columns] for d in rows]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return "".join(
+        "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
+        for row in cells
+    )

@@ -4,20 +4,31 @@ import json
 
 import pytest
 
-from hlnet.cli import _build_parser, _exit_code, main
+from hlnet.cli import _build_parser, _cell_row, _exit_code, main
 from hlnet.formulas import SUITE_WORK_LIMIT
-from hlnet.reports import ReportRow, emit_report
+from hlnet.reports import emit_report
 
 
 # --- report emission ----------------------------------------------------------
 
 
-ROW = ReportRow(3, 2, 5, 5, None, "ok", 0)
+ROW = _cell_row(3, 2, 5, 5, None, "ok")
 
 
 def test_emit_empty_csv_is_header_only():
     out = emit_report([], "csv")
     assert out == "n,g,formula_value,construction_value,oracle_value,status,elapsed_ms\n"
+
+
+@pytest.mark.parametrize(
+    "fmt, out",
+    [
+        ("text", "n  g  formula_value  construction_value  oracle_value  status  elapsed_ms\n"),
+        ("json", "[]\n"),
+    ],
+)
+def test_emit_empty_report_is_its_header_or_no_rows(fmt, out):
+    assert emit_report([], fmt) == out
 
 
 def test_emit_single_row_json_has_all_fields():
@@ -37,7 +48,7 @@ def test_emit_single_row_json_has_all_fields():
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
 def test_emit_is_byte_stable(fmt):
-    rows = [ROW, ReportRow(4, 7, 9, None, 9, "ok", 0)]
+    rows = [ROW, _cell_row(4, 7, 9, None, 9, "ok")]
     assert emit_report(rows, fmt) == emit_report(rows, fmt)
 
 
@@ -50,7 +61,7 @@ def test_emit_rejects_unknown_format():
 
 
 def _row(status):
-    return ReportRow(3, 2, None, None, None, status, 0)
+    return _cell_row(3, 2, None, None, None, status)
 
 
 @pytest.mark.parametrize(

@@ -284,6 +284,14 @@ def test_cut_file_round_trip(tmp_path):
     assert path.read_text().splitlines()[0] == f"# hl-cut n=4 g=3 size={len(cut)}"
 
 
+def test_cut_file_writes_each_unordered_pair_once():
+    buf = io.StringIO()
+    save_cut({(0, 1), (1, 0)}, 3, 1, buf)
+    assert buf.getvalue() == "# hl-cut n=3 g=1 size=1\n0 1\n"
+    buf.seek(0)
+    assert load_cut(buf) == ({(0, 1)}, 3, 1)
+
+
 def test_cut_file_rejects_bad_size():
     doc = "# hl-cut n=3 g=1 size=2\n0 1\n"
     with pytest.raises(ValueError, match="claims 2"):

@@ -71,7 +71,7 @@ def is_simple_regular(graph, n):
 
 
 def test_is_simple_regular_rejects_a_self_loop():
-    assert not is_simple_regular(Graph(1, [[0], [0]]), 1)
+    assert not is_simple_regular(Graph._from_columns(1, [[0, 0]]), 1)
     assert is_simple_regular(Graph(1, [[1], [0]]), 1)
 
 
@@ -389,6 +389,9 @@ def test_graph_rows_become_columns():
         ([(1, -1), (0, 3), (0, 3), (1, 2)], "neighbor -1 outside 0..3"),
         # the first offender in column-major order, not in row order
         ([(1, 9), (0, 3), (8, 3), (1, 2)], "neighbor 8 outside 0..3"),
+        ([(1, 2), (0, 3), (0, 2), (1, 2)], "vertex 2 lists itself as neighbor 2"),
+        ([(1, 1), (0, 0), (3, 3), (2, 2)], "vertex 0 lists neighbor 1 twice"),
+        ([(1, 2), (0, 3), (0, 3), (1, 0)], "vertex 2 lists 3, but 3 does not list 2"),
     ],
 )
 def test_graph_rejects_bad_rows(rows, message):
