@@ -302,7 +302,7 @@ def _run_oracle_clambda(args: argparse.Namespace):
     _check_search_depth(1 << n)
     graph = materialize(recipe)
     for g in gs:
-        bound = component_edge_connectivity(n, g, "permissive").value
+        bound, proven = component_edge_connectivity(n, g, "permissive")
         result = min_component_edge_cut(graph, g + 1, limits)
         if result.status != COMPLETE:
             status = "incomplete"
@@ -310,8 +310,8 @@ def _run_oracle_clambda(args: argparse.Namespace):
             status = "bound-violated"
         elif result.value == bound:
             status = "equal"
-        else:
-            status = "gap"
+        else:  # below a proven bound, the search refutes the theorem
+            status = "mismatch" if proven else "gap"
         if args.witness_out:
             save_partition(result.witness, args.witness_out)
         yield _cell_row(n, g, bound, None, result.value, status)

@@ -94,7 +94,7 @@ def verify_cut(graph: Graph, cut_edges: Iterable[tuple[int, int]]) -> CutReport:
     """
     cut_at: defaultdict[int, set[int]] = defaultdict(set)
     for u, v in cut_edges:
-        if not graph.has_edge(*((u, v) if u < v else (v, u))):
+        if not graph.has_edge(u, v):
             raise ValueError(f"pair ({u}, {v}) is not an edge of the graph")
         cut_at[u].add(v)
         cut_at[v].add(u)
@@ -130,9 +130,8 @@ def verify_cut(graph: Graph, cut_edges: Iterable[tuple[int, int]]) -> CutReport:
         components += 1
         if size == 1:
             isolated += 1
-    # each distinct unordered pair once, at its lower end
-    cut_size = sum(u <= v for u, out in cut_at.items() for v in out)
-    return CutReport(cut_size, components, isolated)
+    # each distinct unordered pair is entered at both of its ends
+    return CutReport(sum(map(len, cut_at.values())) // 2, components, isolated)
 
 
 def save_cut(

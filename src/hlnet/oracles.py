@@ -18,6 +18,7 @@ lexicographically smallest block-assignment string for partitions.
 
 from __future__ import annotations
 
+import math
 import sys
 import time
 from dataclasses import dataclass
@@ -56,12 +57,9 @@ class _Budget:
 
     def __init__(self, limits: "SearchLimits | None") -> None:
         limits = limits or SearchLimits()
-        self.max_nodes = limits.max_nodes_expanded
-        self.deadline = (
-            time.monotonic() + limits.time_budget
-            if limits.time_budget is not None
-            else None
-        )
+        # an absent limit is an infinite one, so spend() compares every limit
+        self.max_nodes, seconds = (math.inf if x is None else x for x in vars(limits).values())
+        self.deadline = time.monotonic() + seconds
         self.nodes = 0
         self.exhausted = False
 
@@ -70,14 +68,12 @@ class _Budget:
         if self.exhausted:
             return False
         self.nodes += 1
-        if self.max_nodes is not None and self.nodes > self.max_nodes:
+        if self.nodes > self.max_nodes:
             self.exhausted = True
             return False
         if (
-            self.deadline is not None
-            and (self.nodes == 1 or self.nodes % _TIME_CHECK_INTERVAL == 0)
-            and time.monotonic() > self.deadline
-        ):
+            self.nodes == 1 or self.nodes % _TIME_CHECK_INTERVAL == 0
+        ) and time.monotonic() > self.deadline:
             self.exhausted = True
             return False
         return True
@@ -269,8 +265,7 @@ def min_component_edge_cut(
         need = parts - used
         if need > remaining:
             return
-        owed = open_tail[v][need] if need > 0 else 0
-        if cost + max(lb, owed) >= best:
+        if cost + max(lb, open_tail[v][need]) >= best:
             return
         if not budget.spend():
             return

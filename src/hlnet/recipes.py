@@ -326,7 +326,7 @@ def _recipe_from_obj(obj: object, path: str) -> Recipe:
     """The Recipe of a decoded recipe object, or a RecipeError that names the
     JSON path of the first fault.  These are the one set of per-node rules;
     children are read the same way, depth first.  A Recipe passes through
-    unchanged: the lean read has already built it by these rules.
+    unchanged: load_recipe's build has already made it by these rules.
     """
     if isinstance(obj, Recipe):
         return obj
@@ -361,7 +361,7 @@ def _recipe_from_obj(obj: object, path: str) -> Recipe:
 
 
 def _build_as_decoded(obj: dict) -> object:
-    """object_hook of the lean read.  json decodes bottom-up, so a recipe
+    """object_hook of load_recipe's build.  json decodes bottom-up, so a recipe
     object's children are Recipes by the time it closes.  Every object with
     a 'dim' key becomes its Recipe by _recipe_from_obj's rules; the others,
     a node's {"left", "right", "matching"} objects, stay dicts."""
@@ -485,37 +485,35 @@ def _lean_text(path: "str | Path") -> str:
     return "".join(pieces)
 
 
-def _loads_lean(path: "str | Path") -> "Recipe | None":
-    """The Recipe of the document at path, each node built as its object
-    closes; None for anything else (bad JSON, undecodable bytes, a recipe
-    error), which loads_recipe then reports."""
-    try:
-        recipe = json.loads(_lean_text(path), object_hook=_build_as_decoded)
-    except (ValueError, RecursionError):  # RecipeError, UnicodeDecodeError too
-        return None
-    return recipe if isinstance(recipe, Recipe) else None
-
-
 def load_recipe(source: "str | Path | IO[str]") -> Recipe:
     """Read a recipe document from a path or an open text stream.
 
-    The text comes in chunks with its indentation dropped, and json.loads
-    builds each Recipe as its object closes, so neither the file's whole
-    text nor a dict tree of the document is ever held.  Each object is
-    built by the same rules as loads_recipe's walk, so the result is the
-    same Recipe.  A path whose document this does not accept, undecodable
-    bytes included, is read again whole through loads_recipe, so every
-    error is the one loads_recipe gives for the file's text.  An open
-    stream, which cannot be read twice, is read whole through loads_recipe.
+    json.loads builds each Recipe as its object closes, by loads_recipe's
+    rules, so no dict tree is ever held; a path is also read in chunks with
+    its indentation dropped.  A stream, which cannot be read twice, is read
+    whole.  A document this rejects, undecodable bytes included, is read
+    again whole by loads_recipe, so every error is the one it gives.
     """
-    if hasattr(source, "read"):
-        return loads_recipe(source.read())  # type: ignore[union-attr]
-    recipe = _loads_lean(source)
-    return loads_recipe(Path(source).read_text()) if recipe is None else recipe
+    text = source.read() if hasattr(source, "read") else None  # type: ignore[union-attr]
+    try:
+        lean = _lean_text(source) if text is None else text  # type: ignore[arg-type]
+        recipe = json.loads(lean, object_hook=_build_as_decoded)
+    except (ValueError, RecursionError):  # RecipeError, UnicodeDecodeError too
+        recipe = None
+    if isinstance(recipe, Recipe):
+        return recipe
+    if text is None:
+        text = Path(source).read_text()  # type: ignore[arg-type]
+    return loads_recipe(text)
 
 
 def save_graph(graph: Graph, destination: "str | Path | IO[str]") -> None:
-    """Write the plain-text edge list with its counting header."""
+    """Write the plain-text edge list with its counting header.  Only a graph
+    on 2^n vertices is written, since load_graph reads no other."""
+    if graph.n < 0 or graph.vertex_count != 1 << graph.n:
+        raise ValueError(
+            f"an edge list holds 2^n vertices; got {graph.vertex_count} for dim {graph.n}"
+        )
     header = f"# hl-graph n={graph.n} vertices={graph.vertex_count} edges={graph.edge_count}\n"
     # one piece per vertex: its edges to higher labels, in the order of edges()
     lines = (

@@ -5,7 +5,8 @@ import json
 import pytest
 
 from hlnet.cli import _build_parser, _cell_row, _exit_code, main
-from hlnet.formulas import SUITE_WORK_LIMIT
+from hlnet.formulas import SUITE_WORK_LIMIT, extremal_edge_count
+from hlnet.oracles import MinCutResult, PartitionWitness
 from hlnet.reports import emit_report
 
 
@@ -880,3 +881,22 @@ def test_every_integer_flag_has_a_guard_or_a_stated_exemption():
         for flag in action.option_strings
     }
     assert int_flags == set(INT_FLAG_GUARDS)
+
+
+@pytest.mark.parametrize(
+    "n, g, row, code",
+    [("8", "1", "8,1,8,,7,mismatch,0", 1), ("4", "2", "4,2,7,,6,gap,0", 0)],
+    ids=["proven", "unproven"],
+)
+def test_oracle_clambda_below_the_bound_fails_only_where_it_is_proven(
+    n, g, row, code, monkeypatch, capsys
+):
+    # a complete search one edge below n*g - e(g) refutes the theorem inside
+    # the window (n >= 8, g <= 2^ceil(n/2)) and is only a gap outside it
+    def one_below(graph, parts, limits):
+        value = graph.n * (parts - 1) - extremal_edge_count(parts - 1) - 1
+        return MinCutResult(value, PartitionWitness((), frozenset()), "complete")
+
+    monkeypatch.setattr("hlnet.cli.min_component_edge_cut", one_below)
+    assert main(["oracle-clambda", "--n", n, "--g", g, "--format", "csv"]) == code
+    assert capsys.readouterr().out.splitlines()[1] == row

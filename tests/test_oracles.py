@@ -1,7 +1,9 @@
+import math
 from itertools import combinations
 
 import pytest
 
+from hlnet import oracles
 from hlnet import (
     Graph,
     SearchLimits,
@@ -307,6 +309,47 @@ def test_search_trees_are_pinned(search, nodes):
         if n_nodes:
             short = search(graph, size, SearchLimits(max_nodes_expanded=n_nodes - 1))
             assert short.status == "incomplete", (size, n_nodes)
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [
+        SearchLimits(),
+        SearchLimits(time_budget=math.inf),
+        SearchLimits(max_nodes_expanded=math.inf),
+    ],
+    ids=["none", "inf-time", "inf-nodes"],
+)
+@pytest.mark.parametrize("search, nodes", _PINNED_TREES, ids=["subset", "partition"])
+def test_absent_and_infinite_limits_search_the_whole_pinned_tree(
+    search, nodes, limits, monkeypatch
+):
+    budgets = []
+
+    class Recorded(oracles._Budget):
+        def __init__(self, limits):
+            super().__init__(limits)
+            budgets.append(self)
+
+    monkeypatch.setattr(oracles, "_Budget", Recorded)
+    graph = materialize(random_hl(5, 11))
+    first = 1 if search is max_induced_edges else 2
+    for size, n_nodes in enumerate(nodes, start=first):
+        assert search(graph, size, limits).status == "complete", size
+        assert budgets.pop().nodes == n_nodes, size
+
+
+@pytest.mark.parametrize(
+    "limits",
+    [SearchLimits(max_nodes_expanded=0), SearchLimits(time_budget=0)],
+    ids=["no-nodes", "no-time"],
+)
+@pytest.mark.parametrize("search, nodes", _PINNED_TREES, ids=["subset", "partition"])
+def test_zero_limits_leave_the_search_incomplete(search, nodes, limits):
+    # the largest pinned tree outlasts one interval between clock reads
+    graph = materialize(random_hl(5, 11))
+    size = len(nodes) - 1 + (1 if search is max_induced_edges else 2)
+    assert search(graph, size, limits).status == "incomplete"
 
 
 @pytest.mark.parametrize("search", [max_induced_edges, min_component_edge_cut])

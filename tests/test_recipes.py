@@ -675,6 +675,15 @@ def test_stream_read_is_the_whole_read(doc):
     assert _outcome(load_recipe, io.StringIO(doc)) == _outcome(loads_recipe, doc)
 
 
+def test_stream_read_builds_without_the_whole_text_walk(monkeypatch):
+    def no_whole_read(text):
+        raise AssertionError("the stream read fell back to the whole-text walk")
+
+    monkeypatch.setattr("hlnet.recipes.loads_recipe", no_whole_read)
+    for name, recipe in (("random_hl", random_hl(5, 3)), ("g84", g84())):
+        assert load_recipe(io.StringIO(_CANONICAL[name])) == recipe
+
+
 def test_lean_read_of_a_document_nested_too_deeply(deep_recipe_doc, tmp_path):
     path = tmp_path / "deep.json"
     path.write_text(deep_recipe_doc)
@@ -764,6 +773,16 @@ def test_lean_read_of_mutated_documents(data, tmp_path_factory):
     _assert_lean_read_is_the_whole_read(path)
 
 
+@given(data=_mutated_documents())
+@settings(max_examples=300, deadline=None)
+def test_stream_read_of_mutated_documents(data, tmp_path_factory):
+    path = tmp_path_factory.mktemp("stream") / "r.json"
+    path.write_bytes(data)
+    with open(path) as stream:
+        through_stream = _outcome(load_recipe, stream)
+    assert through_stream == _outcome(load_recipe, path) == _outcome(_whole_read, path)
+
+
 def test_direct_recipe_validation():
     with pytest.raises(RecipeError):
         Recipe(1)  # node dim without children
@@ -780,6 +799,27 @@ def test_graph_file_round_trip(tmp_path):
     assert list(loaded.edges()) == list(g.edges())
     header = path.read_text().splitlines()[0]
     assert header == "# hl-graph n=4 vertices=16 edges=32"
+
+
+@pytest.mark.parametrize(
+    "graph",
+    [
+        Graph(2, [[1, 2], [0, 2], [0, 1]]),
+        Graph(3, [[1, 2, 3], [0, 2, 3], [0, 1, 3], [0, 1, 2]]),
+    ],
+    ids=["triangle", "k4"],
+)
+def test_save_graph_refuses_a_graph_load_graph_cannot_read(graph, tmp_path):
+    # both are simple and n-regular, but not on 2^n vertices
+    path = tmp_path / "g.edges"
+    message = rf"^an edge list holds 2\^n vertices; got {graph.vertex_count} for dim {graph.n}$"
+    with pytest.raises(ValueError, match=message):
+        save_graph(graph, path)
+    assert not path.exists()
+    stream = io.StringIO()
+    with pytest.raises(ValueError, match=message):
+        save_graph(graph, stream)
+    assert stream.getvalue() == ""
 
 
 def test_loaded_graph_shares_one_int_per_label(tmp_path):
