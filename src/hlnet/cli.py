@@ -241,6 +241,8 @@ def _run_cut(args: argparse.Namespace):
         )
     graph = materialize(recipe)
     cut = build_component_cut(recipe, g)
+    # not read again: let its matchings (2^n ints in the cube) go before verify_cut's peak
+    del recipe
     report = verify_cut(graph, cut)
     if args.cut_out:
         save_cut(cut, n, g, args.cut_out)
@@ -368,7 +370,7 @@ def _run(argv: "list[str] | None") -> int:
                 start = now
             rows.append(row)
         if rows:
-            _write_document(args.out or sys.stdout, [emit_report(rows, args.format)])
+            _write_document(args.out or sys.stdout, emit_report(rows, args.format))
         return _exit_code(rows)
     except (ValueError, OSError) as exc:  # RecipeError is a ValueError
         print(f"error: {exc}", file=sys.stderr)

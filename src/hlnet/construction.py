@@ -142,6 +142,8 @@ def save_cut(
 ) -> None:
     """Write a cut under an '# hl-cut' header, each unordered pair once as u < v."""
     ordered = sorted({(u, v) if u < v else (v, u) for u, v in edges})
+    if loops := [e for e in ordered if e[0] == e[1]]:
+        raise ValueError(f"cut edge {loops[0]} is a self-loop; a cut holds pairs u < v only")
     header = f"# hl-cut n={n} g={g} size={len(ordered)}\n"
     lines = (f"{u} {v}\n" for u, v in ordered)
     _write_document(destination, chain([header], lines))

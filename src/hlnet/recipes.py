@@ -283,8 +283,7 @@ def materialize(recipe: Recipe) -> Graph:
     _check_dim(recipe.dim)
     labels = list(range(1 << recipe.dim))
     columns = []
-    # per matching object, so a subtree shared by many nodes builds them once
-    getters: dict[int, tuple[itemgetter, itemgetter]] = {}
+    last = None  # the previous node's matching, whose getters a shared subtree reuses
     nodes = [recipe]
     for d in reversed(range(recipe.dim)):
         half = 1 << d
@@ -298,10 +297,9 @@ def materialize(recipe: Recipe) -> Graph:
         else:
             for lo, r in zip(range(0, len(labels), step), nodes):
                 m: tuple[int, ...] = r.matching  # type: ignore[assignment]
-                if id(m) not in getters:
+                if m is not last:
                     inverse = sorted(range(half), key=m.__getitem__)
-                    getters[id(m)] = (itemgetter(*m), itemgetter(*inverse))
-                to_right, to_left = getters[id(m)]
+                    to_right, to_left, last = itemgetter(*m), itemgetter(*inverse), m
                 mid = lo + half
                 col[lo:mid] = to_right(labels[mid : mid + half])
                 col[mid : mid + half] = to_left(labels[lo:mid])

@@ -8,8 +8,10 @@ pure function of the cell contents.
 from __future__ import annotations
 
 import csv
-import io
 import json
+from itertools import chain
+from types import SimpleNamespace
+from typing import Iterator
 
 FORMATS = ("csv", "json", "text")
 
@@ -18,24 +20,23 @@ CELL_COLUMNS = ("n", "g", "formula_value", "construction_value", "oracle_value",
                 "status", "elapsed_ms")
 
 
-def emit_report(rows: "list[dict]", fmt: str) -> str:
-    """Serialize rows, dicts keyed by the report's columns in order, to one of FORMATS."""
+def emit_report(rows: "list[dict]", fmt: str) -> Iterator[str]:
+    """Serialize rows (dicts keyed by their columns in order) to one of FORMATS, in pieces."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     columns = list(rows[0]) if rows else list(CELL_COLUMNS)
     if fmt == "json":
-        return json.dumps(rows, indent=2) + "\n"
+        return chain(json.JSONEncoder(indent=2).iterencode(rows), ["\n"])
     if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(columns)
-        for d in rows:
-            writer.writerow(["" if d[c] is None else d[c] for c in columns])
-        return buf.getvalue()
+        # writerow returns what its file's write returns: here, the line itself
+        writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
+        lines = (["" if d[c] is None else d[c] for c in columns] for d in rows)
+        return map(writer.writerow, chain([columns], lines))
+    # the column widths need every row, so the text layout holds its cells
     cells = [columns]
     cells += [[("-" if d[c] is None else str(d[c])) for c in columns] for d in rows]
     widths = [max(map(len, column)) for column in zip(*cells)]
-    return "".join(
+    return (
         "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
         for row in cells
     )

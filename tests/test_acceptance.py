@@ -127,9 +127,9 @@ def test_criterion_5_min_cut_oracle_cross_check(tmp_path):
                     "relation": "equal" if result.value == bound else "gap",
                 }
             )
-    table = emit_report(rows, "csv")
+    table = "".join(emit_report(rows, "csv"))
     (tmp_path / "clambda_gap.csv").write_text(table)
-    print("\n" + emit_report(rows, "text"), end="")
+    print("\n" + "".join(emit_report(rows, "text")), end="")
     _report(5, "exact min cut <= bound, equality table recorded", t0)
 
 

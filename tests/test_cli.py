@@ -1,13 +1,17 @@
 import argparse
 import gc
 import json
+import os
 
 import pytest
 
 from hlnet.cli import _build_parser, _cell_row, _exit_code, main
 from hlnet.formulas import SUITE_WORK_LIMIT, extremal_edge_count
 from hlnet.oracles import MinCutResult, PartitionWitness
+from hlnet.recipes import _write_document
 from hlnet.reports import emit_report
+
+from helpers import traced_peak
 
 
 # --- report emission ----------------------------------------------------------
@@ -17,7 +21,7 @@ ROW = _cell_row(3, 2, 5, 5, None, "ok")
 
 
 def test_emit_empty_csv_is_header_only():
-    out = emit_report([], "csv")
+    out = "".join(emit_report([], "csv"))
     assert out == "n,g,formula_value,construction_value,oracle_value,status,elapsed_ms\n"
 
 
@@ -29,11 +33,11 @@ def test_emit_empty_csv_is_header_only():
     ],
 )
 def test_emit_empty_report_is_its_header_or_no_rows(fmt, out):
-    assert emit_report([], fmt) == out
+    assert "".join(emit_report([], fmt)) == out
 
 
 def test_emit_single_row_json_has_all_fields():
-    data = json.loads(emit_report([ROW], "json"))
+    data = json.loads("".join(emit_report([ROW], "json")))
     assert data == [
         {
             "n": 3,
@@ -50,12 +54,20 @@ def test_emit_single_row_json_has_all_fields():
 @pytest.mark.parametrize("fmt", ["csv", "json", "text"])
 def test_emit_is_byte_stable(fmt):
     rows = [ROW, _cell_row(4, 7, 9, None, 9, "ok")]
-    assert emit_report(rows, fmt) == emit_report(rows, fmt)
+    assert "".join(emit_report(rows, fmt)) == "".join(emit_report(rows, fmt))
 
 
 def test_emit_rejects_unknown_format():
     with pytest.raises(ValueError, match="format"):
         emit_report([ROW], "xml")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_report_is_written_in_pieces(fmt):
+    rows = [_cell_row(15, g, extremal_edge_count(g), None, None, "ok") for g in range(1 << 15)]
+    with open(os.devnull, "w") as sink:
+        peak = traced_peak(lambda: _write_document(sink, emit_report(rows, fmt)))
+    assert peak < 1 << 20
 
 
 # --- exit codes ---------------------------------------------------------------

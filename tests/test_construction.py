@@ -292,6 +292,14 @@ def test_cut_file_writes_each_unordered_pair_once():
     assert load_cut(buf) == ({(0, 1)}, 3, 1)
 
 
+def test_save_cut_refuses_a_self_loop_before_opening(tmp_path):
+    # load_cut reads only pairs u < v, so it would reject the line "3 3"
+    path = tmp_path / "cut.edges"
+    with pytest.raises(ValueError, match=r"^cut edge \(3, 3\) is a self-loop"):
+        save_cut({(3, 3), (1, 2)}, 2, 1, path)
+    assert not path.exists()
+
+
 def test_cut_file_rejects_bad_size():
     doc = "# hl-cut n=3 g=1 size=2\n0 1\n"
     with pytest.raises(ValueError, match="claims 2"):

@@ -329,10 +329,23 @@ def reference_edges(recipe):
     return edges
 
 
+def _shared_subtree_cases():
+    """Recipes whose nodes share subtree objects in other than side-by-side
+    runs, so materialize builds its getters again for a repeated matching."""
+    a, b = random_hl(3, 1), random_hl(3, 2)
+    p = compose(a, b, range(7, -1, -1))
+    alternating = compose(p, p, range(16))  # the dim-3 nodes run a, b, a, b
+    x = compose(a, a, (2, 0, 3, 1, 6, 4, 7, 5))
+    y = compose(b, a, range(8))
+    resumed = compose(x, y, range(15, -1, -1))  # the dim-3 nodes run a, a, b, a
+    return [alternating, resumed]
+
+
 MATERIALIZE_CASES = (
     [g84()]
     + [hypercube(n) for n in range(9)]
     + [random_hl(n, seed) for n in range(1, 10) for seed in range(4)]
+    + _shared_subtree_cases()
 )
 
 
@@ -350,6 +363,21 @@ def test_materialize_matches_reference_walk(recipe):
     assert list(g.edges()) == sorted(edges)
     assert g.edge_count == len(edges)
     assert verify_cut(g, ()).component_count == 1
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_materialize_holds_little_beyond_the_graph(seed):
+    # every node of a random recipe has its own matching, so getters kept
+    # past their node would cost about as much as the graph itself
+    recipe = random_hl(13, seed)
+    held = []
+
+    def run():
+        graph = materialize(recipe)
+        held.append(tracemalloc.get_traced_memory()[0])  # what the graph keeps
+
+    peak = traced_peak(run)
+    assert peak < 1.5 * held[0]
 
 
 def test_materialize_leaf_is_one_vertex_without_edges():
