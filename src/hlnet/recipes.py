@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import re
 from collections import defaultdict
+from contextlib import nullcontext
 from dataclasses import dataclass
 from functools import partial
 from itertools import chain
@@ -443,7 +444,7 @@ def _read_edge_list(
     order, duplicate and count checks are the loader's."""
     lines = filter(None, map(str.strip, _lines(source)))
     header = next(lines, "")
-    if not header.startswith(f"# hl-{kind}"):
+    if not re.match(rf"# hl-{kind}(?!\S)", header):  # a blank or the end follows the kind
         raise ValueError(f"{kind} document must start with an '# hl-{kind}' header")
     fields = dict(part.split("=", 1) for part in header.split() if "=" in part)
     try:
@@ -468,18 +469,17 @@ def save_recipe(recipe: Recipe, destination: "str | Path | IO[str]") -> None:
     _write_document(destination, _recipe_chunks(recipe))
 
 
-def _lean_text(path: "str | Path") -> str:
-    """A file's text without the blanks that open its lines, read in chunks
-    of _CHUNK characters, so the file's bytes and its whole text never
-    coexist.  Each newline stays: line numbers hold, and a raw newline inside
-    a string is still an error."""
+def _lean_text(stream: IO[str]) -> str:
+    """The rest of a stream's text without the blanks that open its lines,
+    read in chunks of _CHUNK characters, so a file's bytes and its whole text
+    never coexist.  Each newline stays: line numbers hold, and a raw newline
+    inside a string is still an error."""
     pieces: list[str] = []
-    with open(path) as stream:
-        for chunk in iter(partial(stream.read, _CHUNK), ""):
-            if pieces and pieces[-1].endswith("\n"):  # the blanks run on from a chunk
-                chunk = chunk.lstrip(" \t")
-            if chunk:
-                pieces.append(_INDENT.sub("\n", chunk))
+    for chunk in iter(partial(stream.read, _CHUNK), ""):
+        if pieces and pieces[-1].endswith("\n"):  # the blanks run on from a chunk
+            chunk = chunk.lstrip(" \t")
+        if chunk:
+            pieces.append(_INDENT.sub("\n", chunk))
     return "".join(pieces)
 
 
@@ -487,22 +487,28 @@ def load_recipe(source: "str | Path | IO[str]") -> Recipe:
     """Read a recipe document from a path or an open text stream.
 
     json.loads builds each Recipe as its object closes, by loads_recipe's
-    rules, so no dict tree is ever held; a path is also read in chunks with
-    its indentation dropped.  A stream, which cannot be read twice, is read
-    whole.  A document this rejects, undecodable bytes included, is read
-    again whole by loads_recipe, so every error is the one it gives.
+    rules, so no dict tree is ever held.  A path is opened once: a file that
+    can seek is read in chunks without its indentation, and a document this
+    rejects, undecodable bytes included, is read whole again from its start
+    by loads_recipe, so every error is the one it gives.  A stream handed in,
+    a pipe or a FIFO is read whole once, and a stream is never rewound.
     """
-    text = source.read() if hasattr(source, "read") else None  # type: ignore[union-attr]
-    try:
-        lean = _lean_text(source) if text is None else text  # type: ignore[arg-type]
-        recipe = json.loads(lean, object_hook=_build_as_decoded)
-    except (ValueError, RecursionError):  # RecipeError, UnicodeDecodeError too
-        recipe = None
-    if isinstance(recipe, Recipe):
-        return recipe
-    if text is None:
-        text = Path(source).read_text()  # type: ignore[arg-type]
-    return loads_recipe(text)
+    handed = hasattr(source, "read")
+    with nullcontext(source) if handed else open(source) as stream:  # type: ignore[arg-type]
+        lean = not handed and stream.seekable()
+        text = None if lean else stream.read()
+        try:
+            recipe = json.loads(
+                _lean_text(stream) if lean else text, object_hook=_build_as_decoded
+            )
+        except (ValueError, RecursionError):  # RecipeError, UnicodeDecodeError too
+            recipe = None
+        if isinstance(recipe, Recipe):
+            return recipe
+        if lean:
+            stream.seek(0)
+            text = stream.read()
+    return loads_recipe(text)  # type: ignore[arg-type]
 
 
 def save_graph(graph: Graph, destination: "str | Path | IO[str]") -> None:

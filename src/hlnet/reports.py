@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import csv
 import json
+from functools import partial
 from itertools import chain
+from operator import is_not, itemgetter
 from types import SimpleNamespace
 from typing import Iterator
 
@@ -21,7 +23,8 @@ CELL_COLUMNS = ("n", "g", "formula_value", "construction_value", "oracle_value",
 
 
 def emit_report(rows: "list[dict]", fmt: str) -> Iterator[str]:
-    """Serialize rows (dicts keyed by their columns in order) to one of FORMATS, in pieces."""
+    """Serialize rows (dicts keyed by their columns in order) to one of FORMATS,
+    in pieces, each formatted as it is drawn; no format copies the rows."""
     if fmt not in FORMATS:
         raise ValueError(f"unknown format {fmt!r}, expected one of {FORMATS}")
     columns = list(rows[0]) if rows else list(CELL_COLUMNS)
@@ -32,11 +35,12 @@ def emit_report(rows: "list[dict]", fmt: str) -> Iterator[str]:
         writer = csv.writer(SimpleNamespace(write=str), lineterminator="\n")
         lines = (["" if d[c] is None else d[c] for c in columns] for d in rows)
         return map(writer.writerow, chain([columns], lines))
-    # the column widths need every row, so the text layout holds its cells
-    cells = [columns]
-    cells += [[("-" if d[c] is None else str(d[c])) for c in columns] for d in rows]
-    widths = [max(map(len, column)) for column in zip(*cells)]
+    # the widths come first, from the rows: "-" for None is never wider than a header
+    present = partial(filter, partial(is_not, None))
+    widths = [max(map(len, chain([c], map(str, present(map(itemgetter(c), rows))))))
+              for c in columns]
+    cells = ([("-" if d[c] is None else str(d[c])) for c in columns] for d in rows)
     return (
-        "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n"
-        for row in cells
+        "  ".join(map(str.ljust, row, widths)).rstrip() + "\n"
+        for row in chain([columns], cells)
     )

@@ -2,14 +2,22 @@ import argparse
 import gc
 import json
 import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import hlnet
 
 from hlnet.cli import _build_parser, _cell_row, _exit_code, main
 from hlnet.formulas import SUITE_WORK_LIMIT, extremal_edge_count
 from hlnet.oracles import MinCutResult, PartitionWitness
-from hlnet.recipes import _write_document
-from hlnet.reports import emit_report
+from hlnet.recipes import RecipeError, _write_document, dumps_recipe, loads_recipe, random_hl
+from hlnet.reports import CELL_COLUMNS, emit_report
 
 from helpers import traced_peak
 
@@ -68,6 +76,45 @@ def test_report_is_written_in_pieces(fmt):
     with open(os.devnull, "w") as sink:
         peak = traced_peak(lambda: _write_document(sink, emit_report(rows, fmt)))
     assert peak < 1 << 20
+
+
+def test_text_report_holds_no_copy_of_its_cells():
+    rows = [_cell_row(15, g, extremal_edge_count(g), None, None, "ok") for g in range(1 << 15)]
+    with open(os.devnull, "w") as sink:
+        peak = traced_peak(lambda: _write_document(sink, emit_report(rows, "text")))
+    assert peak < 1 << 20
+
+
+def _text_layout_reference(rows):
+    """The text layout as first written: every row's cells held, then the widths taken."""
+    columns = list(rows[0]) if rows else list(CELL_COLUMNS)
+    cells = [columns] + [[("-" if d[c] is None else str(d[c])) for c in columns] for d in rows]
+    widths = [max(map(len, column)) for column in zip(*cells)]
+    return "".join(
+        "  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip() + "\n" for row in cells
+    )
+
+
+_SUITE_COLUMNS = ("check", "cases", "status", "witness", "lhs", "rhs")
+_CELL_VALUES = st.one_of(
+    st.none(),
+    st.integers(-(10**20), 10**20),
+    st.text(max_size=3),
+    st.text(min_size=20, max_size=40),
+)
+
+
+@st.composite
+def _report_rows(draw):
+    columns = draw(st.sampled_from([CELL_COLUMNS, _SUITE_COLUMNS, ("x",)]))
+    values = st.tuples(*[_CELL_VALUES] * len(columns))
+    return [dict(zip(columns, row)) for row in draw(st.lists(values, max_size=6))]
+
+
+@given(rows=_report_rows())
+@settings(max_examples=300, deadline=None)
+def test_text_layout_is_the_reference_layout(rows):
+    assert "".join(emit_report(rows, "text")) == _text_layout_reference(rows)
 
 
 # --- exit codes ---------------------------------------------------------------
@@ -644,6 +691,61 @@ def test_cut_rejects_recipe_document_nested_too_deeply(deep_recipe_doc, tmp_path
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: malformed recipe document: nested too deeply\n"
+
+
+# A recipe document given as a pipe on /dev/stdin or as a FIFO is read once,
+# whole: its fault is the one loads_recipe names, and a FIFO is never opened
+# a second time (which would wait for a writer that never comes).
+
+_GOOD_DOC = dumps_recipe(random_hl(3, 7))
+_BAD_DOC = _GOOD_DOC.replace('"matching": [', '"matching": [9, ', 1)
+
+
+def _hlnet_through(route, doc, tmp_path, *argv):
+    """Run ``python -m hlnet ARGV --recipe file:...`` with doc handed over by route."""
+    src = str(Path(hlnet.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    command = [sys.executable, "-m", "hlnet", *argv, "--recipe"]
+    if route == "stdin":
+        command.append("file:/dev/stdin")
+        return subprocess.run(
+            command, input=doc, capture_output=True, text=True, env=env, timeout=60
+        )
+    fifo = tmp_path / "recipe.fifo"
+    os.mkfifo(fifo)
+    # the writer's open waits for the run's; as a daemon it never holds up the tests
+    threading.Thread(target=fifo.write_text, args=(doc,), daemon=True).start()
+    command.append(f"file:{fifo}")
+    return subprocess.run(command, capture_output=True, text=True, env=env, timeout=60)
+
+
+_ROUTES = pytest.mark.skipif(
+    not (hasattr(os, "mkfifo") and os.path.exists("/dev/stdin")),
+    reason="needs FIFOs and /dev/stdin",
+)
+
+
+@_ROUTES
+@pytest.mark.parametrize("route", ["stdin", "fifo"])
+def test_bad_recipe_through_a_pipe_is_named_by_the_whole_read(route, tmp_path):
+    with pytest.raises(RecipeError) as exc:
+        loads_recipe(_BAD_DOC)
+    done = _hlnet_through(route, _BAD_DOC, tmp_path, "cut", "--g", "1", "--mode", "permissive")
+    assert (done.returncode, done.stdout, done.stderr) == (2, "", f"error: {exc.value}\n")
+
+
+@_ROUTES
+@pytest.mark.parametrize("route", ["stdin", "fifo"])
+def test_good_recipe_through_a_pipe_loads_as_its_file(route, tmp_path, capsys):
+    # gen writes back the recipe it read, so equal output is an equal Recipe
+    path = tmp_path / "r.json"
+    path.write_text(_GOOD_DOC)
+    assert main(["gen", "--recipe", f"file:{path}"]) == 0
+    by_path = capsys.readouterr().out
+    done = _hlnet_through(route, _GOOD_DOC, tmp_path, "gen")
+    assert (done.returncode, done.stdout, done.stderr) == (0, by_path, "")
+    assert by_path == _GOOD_DOC
 
 
 @pytest.mark.parametrize("g", ["0", "-2"])

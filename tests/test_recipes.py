@@ -1,3 +1,4 @@
+import builtins
 import gc
 import hashlib
 import io
@@ -739,7 +740,8 @@ def test_lean_read_across_chunk_boundaries(chunk, tmp_path, monkeypatch):
         path = tmp_path / f"{name}.json"
         path.write_text(_LEAN_CASES[name])
         _assert_lean_read_is_the_whole_read(path)
-        lean = _lean_text(path)
+        with open(path) as stream:
+            lean = _lean_text(stream)
         assert lean == re.sub(r"\n[ \t]+", "\n", path.read_text())
 
 
@@ -773,6 +775,43 @@ def test_lean_read_holds_neither_the_whole_text_nor_a_dict_tree(tmp_path):
     peak = traced_peak(lambda: load_recipe(path))
     assert peak < size
     assert load_recipe(path) == recipe
+
+
+_REJECTED_DOC = _CANONICAL["random_hl"].replace('"matching": [', '"matching": [9, ', 1)
+
+
+def test_lean_read_opens_a_rejected_document_once(tmp_path, monkeypatch):
+    path = tmp_path / "r.json"
+    path.write_text(_REJECTED_DOC)
+    opened = []
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    # pathlib opens through io.open, everything else through builtins.open
+    monkeypatch.setattr(builtins, "open", counting_open)
+    monkeypatch.setattr(io, "open", counting_open)
+    outcome = _outcome(load_recipe, path)
+    monkeypatch.undo()
+    assert outcome == _outcome(loads_recipe, _REJECTED_DOC)
+    assert outcome[0] is RecipeError
+    assert opened == [path]
+
+
+@pytest.mark.parametrize("doc", [_CANONICAL["g84"], _REJECTED_DOC], ids=["good", "rejected"])
+def test_stream_read_starts_where_the_caller_left_the_stream(doc, tmp_path):
+    # next() disables tell(), and rewinding would read the caller's line again
+    path = tmp_path / "r.json"
+    path.write_text("# read by the caller\n" + doc)
+    expected = _outcome(loads_recipe, doc)
+    with open(path) as stream:
+        next(stream)
+        assert _outcome(load_recipe, stream) == expected
+    stream = io.StringIO("# read by the caller\n" + doc)
+    next(stream)
+    assert _outcome(load_recipe, stream) == expected
 
 
 _MUTATION_CHARS = '{}[]",:0129 \t\nadefilmnortu\xe9'
@@ -962,6 +1001,30 @@ def test_edge_list_loader_error_messages(loader, doc, message):
     with pytest.raises(ValueError) as exc:
         loader(io.StringIO(doc))
     assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "loader, doc, message",
+    [
+        (load_graph, "# hl-graphite n=1 vertices=2 edges=1\n0 1\n", NO_GRAPH_HEADER),
+        (load_graph, "# hl-graph-2 n=1 vertices=2 edges=1\n0 1\n", NO_GRAPH_HEADER),
+        (load_cut, "# hl-cutlery n=1 g=1 size=1\n0 1\n", NO_CUT_HEADER),
+        (load_cut, "# hl-cut=1 n=1 g=1 size=1\n0 1\n", NO_CUT_HEADER),
+        (load_graph, "# hl-graph\n0 1\n", GRAPH_FIELDS),
+        (load_cut, "# hl-cut\n0 1\n", CUT_FIELDS),
+    ],
+    ids=["graphite", "graph-2", "cutlery", "cut=1", "graph-alone", "cut-alone"],
+)
+def test_edge_list_header_names_its_kind_exactly(loader, doc, message):
+    with pytest.raises(ValueError) as exc:
+        loader(io.StringIO(doc))
+    assert str(exc.value) == message
+
+
+def test_edge_list_header_kind_ends_at_any_blank():
+    graph = load_graph(io.StringIO("# hl-graph\tn=1 vertices=2 edges=1\n0 1\n"))
+    assert list(graph.edges()) == [(0, 1)]
+    assert load_cut(io.StringIO("# hl-cut\x0cn=3 g=1 size=1\n0 1\n")) == ({(0, 1)}, 3, 1)
 
 
 def test_edge_list_loaders_skip_blank_and_comment_lines():
