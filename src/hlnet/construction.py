@@ -13,9 +13,9 @@ wherever that value is exact (and an upper bound everywhere else).
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass
-from itertools import accumulate, chain
+from itertools import accumulate, chain, filterfalse, repeat
 from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable
@@ -85,12 +85,15 @@ def verify_cut(graph: Graph, cut_edges: Iterable[tuple[int, int]]) -> CutReport:
     """Count components and isolated vertices of the graph minus the cut.
 
     Each component grows by whole frontiers: the next frontier is the image
-    of the current one under every neighbor column, less the vertices seen
+    of the current one under every neighbor column, less the vertices marked
     so far.  Only the endpoints of cut edges take a filtered neighbor list
-    instead.  Every vertex is visited.  The tests cross-check this against
-    tests/helpers.components_after, a separate traversal with its own edge
-    check.  A pair that is not an edge raises ValueError, and a pair given
-    in both orders counts once.
+    instead.  One byte per vertex marks the visited ones, so beside the
+    graph the walk holds its marks, one frontier and that frontier's image,
+    never a set of every vertex; each component starts at the first
+    unmarked label.  Every vertex is visited.  The tests cross-check this
+    against tests/helpers.components_after, a separate traversal with its
+    own edge check.  A pair that is not an edge raises ValueError, and a
+    pair given in both orders counts once.
     """
     cut_at: defaultdict[int, set[int]] = defaultdict(set)
     for u, v in cut_edges:
@@ -103,12 +106,11 @@ def verify_cut(graph: Graph, cut_edges: Iterable[tuple[int, int]]) -> CutReport:
         for u, out in cut_at.items()
     }
     ends = set(kept)
-    seen: set[int] = set()
+    visited = bytearray(graph.vertex_count)
     components = isolated = 0
-    for start in range(graph.vertex_count):
-        if start in seen:
-            continue
-        seen.add(start)
+    start = visited.find(0)
+    while start >= 0:
+        visited[start] = 1
         frontier = {start}
         size = 1
         while frontier:
@@ -123,13 +125,14 @@ def verify_cut(graph: Graph, cut_edges: Iterable[tuple[int, int]]) -> CutReport:
                     grown.update(map(col.__getitem__, free))
             for u in frontier & ends:
                 grown.update(kept[u])
-            grown -= seen
-            seen |= grown
-            size += len(grown)
-            frontier = grown
+            frontier = set(filterfalse(visited.__getitem__, grown))
+            # mark the frontier by one C-level pass, no Python loop per vertex
+            deque(map(visited.__setitem__, frontier, repeat(1)), maxlen=0)
+            size += len(frontier)
         components += 1
         if size == 1:
             isolated += 1
+        start = visited.find(0, start)
     # each distinct unordered pair is entered at both of its ends
     return CutReport(sum(map(len, cut_at.values())) // 2, components, isolated)
 

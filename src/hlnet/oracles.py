@@ -53,29 +53,35 @@ class SearchLimits:
 
 
 class _Budget:
-    __slots__ = ("max_nodes", "deadline", "nodes", "exhausted")
+    __slots__ = ("stop", "deadline", "nodes", "checkpoint", "exhausted")
 
     def __init__(self, limits: "SearchLimits | None") -> None:
         limits = limits or SearchLimits()
-        # an absent limit is an infinite one, so spend() compares every limit
-        self.max_nodes, seconds = (math.inf if x is None else x for x in vars(limits).values())
+        max_nodes, seconds = (math.inf if x is None else x for x in vars(limits).values())
+        # the first node count past the node limit
+        self.stop = math.inf if max_nodes == math.inf else math.floor(max_nodes) + 1
         self.deadline = time.monotonic() + seconds
         self.nodes = 0
+        # the next node that _check sees: the node limit's stop or the next
+        # node that reads the clock (node 1, then each multiple of the interval)
+        self.checkpoint = 1
         self.exhausted = False
 
     def spend(self) -> bool:
         """Count one expanded node; True while the budget holds."""
-        if self.exhausted:
-            return False
         self.nodes += 1
-        if self.nodes > self.max_nodes:
-            self.exhausted = True
+        return self.nodes < self.checkpoint or self._check()
+
+    def _check(self) -> bool:
+        if self.exhausted:  # an exhausted budget counts no more nodes
+            self.nodes -= 1
             return False
-        if (
-            self.nodes == 1 or self.nodes % _TIME_CHECK_INTERVAL == 0
-        ) and time.monotonic() > self.deadline:
+        if self.nodes >= self.stop or time.monotonic() > self.deadline:
             self.exhausted = True
+            self.checkpoint = 0
             return False
+        interval = _TIME_CHECK_INTERVAL
+        self.checkpoint = min((self.nodes // interval + 1) * interval, self.stop)
         return True
 
 

@@ -133,9 +133,11 @@ def hypercube(n: int) -> Recipe:
     in exactly one bit.
     """
     _check_dim(n)
+    # every level's matching is a prefix of the top one, so all share its ints
+    identity = tuple(range(1 << n >> 1))
     r = _LEAF
     for dim in range(1, n + 1):
-        r = Recipe(dim, r, r, tuple(range(1 << (dim - 1))))
+        r = Recipe(dim, r, r, identity[: 1 << (dim - 1)])
     return r
 
 
@@ -299,7 +301,8 @@ def materialize(recipe: Recipe) -> Graph:
             for lo, r in zip(range(0, len(labels), step), nodes):
                 m: tuple[int, ...] = r.matching  # type: ignore[assignment]
                 if m is not last:
-                    inverse = sorted(range(half), key=m.__getitem__)
+                    # the label ints, not fresh ones: labels[i] is i
+                    inverse = sorted(labels[:half], key=m.__getitem__)
                     to_right, to_left, last = itemgetter(*m), itemgetter(*inverse), m
                 mid = lo + half
                 col[lo:mid] = to_right(labels[mid : mid + half])

@@ -22,7 +22,7 @@ from hlnet import (
     verify_cut,
 )
 
-from helpers import boundary_edges, components_after, induced_edge_count
+from helpers import boundary_edges, components_after, induced_edge_count, traced_peak
 
 
 # --- extremal selection -----------------------------------------------------
@@ -202,6 +202,18 @@ def test_verify_names_a_bad_pair_in_the_order_given(q3):
     message = r"^pair \(5001, 5000\) is not an edge of the graph$"
     with pytest.raises(ValueError, match=message):
         verify_cut(q3, {(5001, 5000)})
+
+
+def test_verify_cut_holds_little_beside_its_graph():
+    # one byte of marks per vertex; a set of every vertex would cost about
+    # 0.7 of the graph's own peak here
+    recipe = hypercube(16)
+    graphs, reports = [], []
+    graph_peak = traced_peak(lambda: graphs.append(materialize(recipe)))
+    cut = build_component_cut(recipe, 64)
+    peak = traced_peak(lambda: reports.append(verify_cut(graphs[0], cut)))
+    assert reports == [CutReport(16 * 64 - extremal_edge_count(64), 65, 64)]
+    assert peak < graph_peak / 2
 
 
 def test_verify_two_adjacent_stars_cross_checked(q3):

@@ -1,5 +1,6 @@
 import math
 from itertools import combinations
+from types import SimpleNamespace
 
 import pytest
 
@@ -337,6 +338,27 @@ def test_absent_and_infinite_limits_search_the_whole_pinned_tree(
     for size, n_nodes in enumerate(nodes, start=first):
         assert search(graph, size, limits).status == "complete", size
         assert budgets.pop().nodes == n_nodes, size
+
+
+@pytest.mark.parametrize("limit", [0, 1, 2.5, 3, 4096, 5000])
+def test_budget_counts_to_its_node_limit_and_paces_the_clock(limit, monkeypatch):
+    # the clock is read when the budget starts, then at node 1 and at every
+    # multiple of the interval that comes before the node limit runs out
+    reads = []
+    budget = None
+
+    def clock():
+        reads.append(budget and budget.nodes)
+        return 0.0
+
+    monkeypatch.setattr(oracles, "time", SimpleNamespace(monotonic=clock))
+    budget = oracles._Budget(SearchLimits(limit, time_budget=60.0))
+    spent = sum(1 for _ in iter(budget.spend, False))
+    assert spent == math.floor(limit)
+    assert not budget.spend()
+    assert (budget.nodes, budget.exhausted) == (spent + 1, True)
+    interval = oracles._TIME_CHECK_INTERVAL
+    assert reads == [None] + [k for k in (1, interval) if k <= spent]
 
 
 @pytest.mark.parametrize(

@@ -178,6 +178,17 @@ def test_hypercube_edges_are_single_bit_flips(n):
     assert set(g.edges()) == expected
 
 
+def test_hypercube_matchings_share_one_int_per_index():
+    # every level's identity is a prefix of the top one, so the recipe holds
+    # 2^(n-1) ints where one tuple of its own per level would hold 14,844
+    n = 14
+    r, ints = hypercube(n), set()
+    while not r.is_leaf:
+        ints.update(map(id, r.matching))
+        r = r.left
+    assert len(ints) == 1 << (n - 1)
+
+
 def test_hypercube_guard():
     with pytest.raises(RecipeError, match="guard"):
         hypercube(21)
