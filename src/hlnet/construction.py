@@ -88,12 +88,13 @@ def verify_cut(graph: Graph, cut_edges: Iterable[tuple[int, int]]) -> CutReport:
     of the current one under every neighbor column, less the vertices marked
     so far.  Only the endpoints of cut edges take a filtered neighbor list
     instead.  One byte per vertex marks the visited ones, so beside the
-    graph the walk holds its marks, one frontier and that frontier's image,
-    never a set of every vertex; each component starts at the first
-    unmarked label.  Every vertex is visited.  The tests cross-check this
-    against tests/helpers.components_after, a separate traversal with its
-    own edge check.  A pair that is not an edge raises ValueError, and a
-    pair given in both orders counts once.
+    graph the walk holds its marks, one frontier as a list and that
+    frontier's image as a set, never a set of every vertex; the image is
+    dropped before the next frontier is marked, and each component starts
+    at the first unmarked label.  Every vertex is visited.  The tests
+    cross-check this against tests/helpers.components_after, a separate
+    traversal with its own edge check.  A pair that is not an edge raises
+    ValueError, and a pair given in both orders counts once.
     """
     cut_at: defaultdict[int, set[int]] = defaultdict(set)
     for u, v in cut_edges:
@@ -111,21 +112,25 @@ def verify_cut(graph: Graph, cut_edges: Iterable[tuple[int, int]]) -> CutReport:
     start = visited.find(0)
     while start >= 0:
         visited[start] = 1
-        frontier = {start}
+        frontier = [start]
         size = 1
         while frontier:
             grown: set[int] = set()
-            free = frontier - ends
+            free = list(filterfalse(ends.__contains__, frontier))
             if len(free) > 1:  # one getter per frontier reads every column
                 pick = itemgetter(*free)
                 for col in graph.columns:
                     grown.update(pick(col))
+                del pick
             else:  # itemgetter of one index returns the entry, not a tuple
                 for col in graph.columns:
                     grown.update(map(col.__getitem__, free))
-            for u in frontier & ends:
+            del free
+            for u in ends.intersection(frontier):
                 grown.update(kept[u])
-            frontier = set(filterfalse(visited.__getitem__, grown))
+            # distinct vertices, since grown is a set
+            frontier = list(filterfalse(visited.__getitem__, grown))
+            del grown
             # mark the frontier by one C-level pass, no Python loop per vertex
             deque(map(visited.__setitem__, frontier, repeat(1)), maxlen=0)
             size += len(frontier)

@@ -11,6 +11,7 @@ range (top bit 0), the right subnetwork the upper half.
 from __future__ import annotations
 
 import json
+import os
 import re
 from collections import defaultdict
 from contextlib import nullcontext
@@ -19,12 +20,13 @@ from functools import partial
 from itertools import chain
 from pathlib import Path
 from operator import itemgetter
-from typing import IO, Collection, Iterable, Iterator
+from typing import IO, Callable, Collection, Iterable, Iterator, TypeVar
 
 #: Cap on the dimension of every built or materialized recipe (2^20
 #: vertices), read at each check.
 MAX_DIM = 20
 
+_T = TypeVar("_T")
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
 
@@ -37,11 +39,12 @@ class RecipeError(ValueError):
 # recipes
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Recipe:
     """Construction tree node.  Leaves have dim 0 and no children.
 
-    Instances are immutable values; equal trees compare equal.  Use
+    Instances are immutable values with no ``__dict__``; equal trees compare
+    equal.  Use
     ``leaf()``, ``compose()``, ``hypercube()``, ``random_hl()`` or
     ``load_recipe()`` to build them.
     """
@@ -163,12 +166,13 @@ def _mix64(x: int) -> int:
     return x ^ (x >> 31)
 
 
-def _random_permutation(size: int, seed: int, position: int) -> tuple[int, ...]:
-    """Fisher-Yates shuffle of range(size) drawn from the SplitMix64 substream
-    of (seed, position).  Each draw below a bound rejects the top
-    2^64 mod bound outputs, which keeps it exactly uniform."""
+def _random_permutation(perm: list[int], seed: int, position: int) -> tuple[int, ...]:
+    """Fisher-Yates shuffle, in place, of perm, a list of range(len(perm)),
+    drawn from the SplitMix64 substream of (seed, position).  Each draw below
+    a bound rejects the top 2^64 mod bound outputs, which keeps it exactly
+    uniform."""
     state = _mix64(seed & _MASK64) ^ _mix64(position * _GOLDEN)
-    perm = list(range(size))
+    size = len(perm)
     # every limit 2^64 - (2^64 mod bound) exceeds 2^64 - size, so a draw
     # below that is accepted without computing the limit
     sure = (_MASK64 + 1) - size
@@ -188,16 +192,19 @@ def random_hl(n: int, seed: int) -> Recipe:
 
     Each tree node gets its own substream derived from (seed, heap position
     of the node), so the draw is independent per node and reproducible:
-    equal arguments give bit-identical recipes.
+    equal arguments give bit-identical recipes.  Every permutation is a
+    shuffled slice of one label list, so the matchings hold one int object
+    per index, 2^(n-1) in all.
     """
     _check_dim(n)
+    labels = list(range(1 << n >> 1))
 
     def build(dim: int, position: int) -> Recipe:
         if dim == 0:
             return _LEAF
         left = build(dim - 1, 2 * position)
         right = build(dim - 1, 2 * position + 1)
-        perm = _random_permutation(1 << (dim - 1), seed, position)
+        perm = _random_permutation(labels[: 1 << (dim - 1)], seed, position)
         return Recipe(dim, left, right, perm)
 
     return build(n, 1)
@@ -324,11 +331,15 @@ _CHUNK = 1 << 20  # characters per read of a recipe document
 _INDENT = re.compile(r"\n[ \t]+")
 
 
-def _recipe_from_obj(obj: object, path: str) -> Recipe:
+def _recipe_from_obj(obj: object, path: str, labels: list[int]) -> Recipe:
     """The Recipe of a decoded recipe object, or a RecipeError that names the
     JSON path of the first fault.  These are the one set of per-node rules;
     children are read the same way, depth first.  A Recipe passes through
     unchanged: load_recipe's build has already made it by these rules.
+
+    labels is one document's table of index ints, grown as needed.  Each
+    matching is mapped through it once its node passes every check, so the
+    tree holds one int object per index, not one per entry as decoded.
     """
     if isinstance(obj, Recipe):
         return obj
@@ -346,8 +357,8 @@ def _recipe_from_obj(obj: object, path: str) -> Recipe:
         raise RecipeError(f"{path}: dim {dim} recipe needs a 'node' object")
     if dim == 0:
         raise RecipeError(f"{path}: dim 0 recipe must be a leaf")
-    left = _recipe_from_obj(node.get("left"), path + ".node.left")
-    right = _recipe_from_obj(node.get("right"), path + ".node.right")
+    left = _recipe_from_obj(node.get("left"), path + ".node.left", labels)
+    right = _recipe_from_obj(node.get("right"), path + ".node.right", labels)
     if left.dim != dim - 1 or right.dim != dim - 1:
         raise RecipeError(
             f"{path}: children of dim {dim} node must have dim {dim - 1}, "
@@ -357,17 +368,22 @@ def _recipe_from_obj(obj: object, path: str) -> Recipe:
     if not isinstance(matching, list):
         raise RecipeError(f"{path}.node.matching: expected an array")
     try:
-        return Recipe(dim, left, right, tuple(matching))
+        recipe = Recipe(dim, left, right, tuple(matching))
     except RecipeError as exc:
         raise RecipeError(f"{path}.node.matching: {exc}") from None
+    labels.extend(range(len(labels), len(matching)))
+    # the checked entries are exact ints in 0..len - 1, each a table index
+    object.__setattr__(recipe, "matching", tuple(map(labels.__getitem__, matching)))
+    return recipe
 
 
-def _build_as_decoded(obj: dict) -> object:
-    """object_hook of load_recipe's build.  json decodes bottom-up, so a recipe
-    object's children are Recipes by the time it closes.  Every object with
-    a 'dim' key becomes its Recipe by _recipe_from_obj's rules; the others,
-    a node's {"left", "right", "matching"} objects, stay dicts."""
-    return _recipe_from_obj(obj, "$") if "dim" in obj else obj
+def _build_as_decoded(labels: list[int], obj: dict) -> object:
+    """object_hook of load_recipe's build, given one table of index ints per
+    document.  json decodes bottom-up, so a recipe object's children are
+    Recipes by the time it closes.  Every object with a 'dim' key becomes its
+    Recipe by _recipe_from_obj's rules; the others, a node's {"left",
+    "right", "matching"} objects, stay dicts."""
+    return _recipe_from_obj(obj, "$", labels) if "dim" in obj else obj
 
 
 def _recipe_chunks(recipe: Recipe) -> Iterator[str]:
@@ -410,7 +426,7 @@ def dumps_recipe(recipe: Recipe) -> str:
 
 def loads_recipe(text: str) -> Recipe:
     try:
-        return _recipe_from_obj(json.loads(text), "$")
+        return _recipe_from_obj(json.loads(text), "$", [])
     except RecipeError:
         raise
     except ValueError as exc:  # bad JSON, or an integer too long for int()
@@ -436,6 +452,26 @@ def _lines(source: "str | Path | IO[str]") -> Iterator[str]:
     else:
         with open(source) as stream:
             yield from stream
+
+
+def _read_lean_or_whole(
+    source: "str | Path | IO[str]",
+    lean: "Callable[[IO[str]], _T | None]",
+    whole: "Callable[[IO[str]], _T]",
+) -> _T:
+    """Read a document from a path or an open text stream.  A path is opened
+    once: a file that can seek goes to lean(stream), and when that returns
+    None, whole(stream) reads the same open file again from its start, so
+    every error is whole's.  A stream handed in, a pipe or a FIFO goes to
+    whole alone, from where it stands, and is never rewound."""
+    handed = hasattr(source, "read")
+    with nullcontext(source) if handed else open(source) as stream:  # type: ignore[arg-type]
+        if not handed and stream.seekable():
+            done = lean(stream)
+            if done is not None:
+                return done
+            stream.seek(0)
+        return whole(stream)
 
 
 def _read_edge_list(
@@ -486,32 +522,52 @@ def _lean_text(stream: IO[str]) -> str:
     return "".join(pieces)
 
 
+def _built(text: str) -> "Recipe | None":
+    """The Recipe that load_recipe's build makes of a text, or None where
+    the build rejects it."""
+    try:
+        recipe = json.loads(text, object_hook=partial(_build_as_decoded, []))
+    except (ValueError, RecursionError):  # RecipeError too
+        return None
+    return recipe if isinstance(recipe, Recipe) else None
+
+
+def _load_recipe_whole(stream: IO[str]) -> Recipe:
+    text = stream.read()
+    return _built(text) or loads_recipe(text)
+
+
+def _load_recipe_lean(stream: IO[str]) -> "Recipe | None":
+    try:
+        text = _lean_text(stream)
+    except UnicodeDecodeError:
+        return None
+    return _built(text)
+
+
 def load_recipe(source: "str | Path | IO[str]") -> Recipe:
     """Read a recipe document from a path or an open text stream.
 
     json.loads builds each Recipe as its object closes, by loads_recipe's
-    rules, so no dict tree is ever held.  A path is opened once: a file that
-    can seek is read in chunks without its indentation, and a document this
-    rejects, undecodable bytes included, is read whole again from its start
-    by loads_recipe, so every error is the one it gives.  A stream handed in,
-    a pipe or a FIFO is read whole once, and a stream is never rewound.
+    rules, so no dict tree is ever held, and each matching is mapped
+    through one table of index ints for the whole document.  A path is
+    opened once: a file that can seek is read in chunks without its
+    indentation, and a document this rejects, undecodable bytes included,
+    is read whole again from its start, where loads_recipe names its fault.
+    A stream handed in, a pipe or a FIFO is read whole once, and a stream
+    is never rewound.
     """
-    handed = hasattr(source, "read")
-    with nullcontext(source) if handed else open(source) as stream:  # type: ignore[arg-type]
-        lean = not handed and stream.seekable()
-        text = None if lean else stream.read()
-        try:
-            recipe = json.loads(
-                _lean_text(stream) if lean else text, object_hook=_build_as_decoded
-            )
-        except (ValueError, RecursionError):  # RecipeError, UnicodeDecodeError too
-            recipe = None
-        if isinstance(recipe, Recipe):
-            return recipe
-        if lean:
-            stream.seek(0)
-            text = stream.read()
-    return loads_recipe(text)  # type: ignore[arg-type]
+    return _read_lean_or_whole(source, _load_recipe_lean, _load_recipe_whole)
+
+
+_GRAPH_N = re.compile(r"# hl-graph n=([0-9]+) ")
+_EDGE_LINES = re.compile(r"(?:[0-9]+ [0-9]+\n)*")
+_EDGE_CHUNK = 1 << 16  # characters per read of an edge list in save_graph's form
+
+
+def _graph_header(n: int) -> str:
+    """save_graph's header line for a graph on 2^n vertices."""
+    return f"# hl-graph n={n} vertices={1 << n} edges={n << n >> 1}\n"
 
 
 def save_graph(graph: Graph, destination: "str | Path | IO[str]") -> None:
@@ -521,7 +577,7 @@ def save_graph(graph: Graph, destination: "str | Path | IO[str]") -> None:
         raise ValueError(
             f"an edge list holds 2^n vertices; got {graph.vertex_count} for dim {graph.n}"
         )
-    header = f"# hl-graph n={graph.n} vertices={graph.vertex_count} edges={graph.edge_count}\n"
+    header = _graph_header(graph.n)
     # one piece per vertex: its edges to higher labels, in the order of edges()
     lines = (
         "".join([f"{u} {v}\n" for v in row if u < v])
@@ -530,14 +586,65 @@ def save_graph(graph: Graph, destination: "str | Path | IO[str]") -> None:
     _write_document(destination, chain([header], lines))
 
 
-def load_graph(source: "str | Path | IO[str]") -> Graph:
-    """Parse an edge-list document written by save_graph.
+def _load_columns(stream: IO[str]) -> "Graph | None":
+    """The graph of an edge list in save_graph's own form, written straight
+    into its neighbor columns, or None for any other text.
 
-    Adjacency is kept only for the vertices the listed edges touch, so a
-    header claiming a huge dimension costs no more than the document's size.
+    The form: save_graph's header with 1 <= n <= MAX_DIM, then one ASCII
+    'u v' line per edge with u < v, the pairs strictly increasing, and every
+    vertex of degree n.  Each chunk of _EDGE_CHUNK characters is checked by
+    one regex match before it is split.  Each edge fills the next slot of
+    both its rows, and one byte per vertex counts them, so the columns, row
+    order included, are the exact loader's.  A file smaller than the least
+    document its header allows is never allocated for.
     """
+    header = stream.readline(len(_graph_header(MAX_DIM)))
+    claim = _GRAPH_N.match(header)
+    n = int(claim[1]) if claim else 0
+    if not 1 <= n <= MAX_DIM or header != _graph_header(n):
+        return None
+    vertices = 1 << n
+    # every edge line takes at least 4 characters, as "0 1\n"
+    if os.fstat(stream.fileno()).st_size < len(header) + 4 * (n << n >> 1):
+        return None
+    labels = list(range(vertices))  # one int per label, shared by the columns
+    columns = [[0] * vertices for _ in range(n)]
+    degree = bytearray(vertices)
+    widest = 2 * len(str(vertices)) + 1  # a line of save_graph's, without its newline
+    last = -1  # (u, v) of the previous edge as u << n | v
+    rest = ""
+    try:
+        for chunk in iter(partial(stream.read, _EDGE_CHUNK), ""):
+            chunk = rest + chunk
+            end = chunk.rfind("\n") + 1
+            rest = chunk[end:]
+            if len(rest) > widest or not _EDGE_LINES.fullmatch(chunk, 0, end):
+                return None
+            numbers = map(int, chunk[:end].split())
+            for u, v in zip(numbers, numbers):
+                key = u << n | v
+                if u >= v or key <= last:
+                    return None
+                last = key
+                u, v = labels[u], labels[v]
+                columns[degree[u]][u] = v
+                degree[u] += 1
+                columns[degree[v]][v] = u
+                degree[v] += 1
+    # a label past 2^n - 1 or a row past n, undecodable bytes, or digits
+    # too many for int()
+    except (IndexError, ValueError):
+        return None
+    if rest or min(degree) < n:
+        return None
+    return Graph._from_columns(n, columns)
+
+
+def _load_graph_whole(stream: IO[str]) -> Graph:
+    """The exact loader: every edge list it accepts, and every message.
+    Adjacency is kept only for the vertices the listed edges touch."""
     (n, vertices, edges), pairs = _read_edge_list(
-        source, "graph", ("n", "vertices", "edges")
+        stream, "graph", ("n", "vertices", "edges")
     )
     # bit_length first: then 1 << n never outgrows the header's vertex count
     if n < 0 or vertices.bit_length() != n + 1 or vertices != 1 << n:
@@ -566,3 +673,16 @@ def load_graph(source: "str | Path | IO[str]") -> Graph:
         if len(neighbors[v]) != n:
             raise ValueError(f"vertex {v} has degree {len(neighbors[v])}, expected {n}")
     return Graph._from_columns(n, map(list, zip(*map(neighbors.get, range(vertices)))))
+
+
+def load_graph(source: "str | Path | IO[str]") -> Graph:
+    """Parse an edge-list document written by save_graph.
+
+    A path is opened once.  A file that can seek and is in save_graph's own
+    form is read in chunks straight into the neighbor columns; any other
+    text, from the same open file read again from its start, and a stream
+    handed in, a pipe or a FIFO, go through the exact loader, which gives
+    every message.  Either way a header claiming a huge dimension costs no
+    more than a constant times the document's size.
+    """
+    return _read_lean_or_whole(source, _load_columns, _load_graph_whole)

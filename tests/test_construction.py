@@ -216,6 +216,17 @@ def test_verify_cut_holds_little_beside_its_graph():
     assert peak < graph_peak / 2
 
 
+def test_verify_cut_on_a_random_graph_holds_its_frontiers_as_lists():
+    # frontiers kept as sets, with their image alive while the next one is
+    # marked, peaked at 9.0 MiB here; lists, dropping the image first, at 5.0
+    recipe = random_hl(16, 7)
+    graph, cut = materialize(recipe), build_component_cut(recipe, 256)
+    reports = []
+    peak = traced_peak(lambda: reports.append(verify_cut(graph, cut)))
+    assert reports == [CutReport(16 * 256 - extremal_edge_count(256), 257, 256)]
+    assert peak < 7 << 20
+
+
 def test_verify_two_adjacent_stars_cross_checked(q3):
     # all edges at 0 and at 1 (their shared edge appears once)
     cut = boundary_edges(q3, [0]) | boundary_edges(q3, [1])

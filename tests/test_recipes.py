@@ -3,6 +3,7 @@ import gc
 import hashlib
 import io
 import json
+import random
 import re
 import sys
 import time
@@ -187,6 +188,52 @@ def test_hypercube_matchings_share_one_int_per_index():
         ints.update(map(id, r.matching))
         r = r.left
     assert len(ints) == 1 << (n - 1)
+
+
+def _matching_ints(recipe):
+    """The distinct int objects in every matching of the tree."""
+    ints, stack = set(), [recipe]
+    while stack:
+        r = stack.pop()
+        if not r.is_leaf:
+            ints.update(map(id, r.matching))
+            stack += (r.left, r.right)
+    return ints
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_hl_matchings_share_one_int_per_index(seed, tmp_path):
+    # a fresh range per node would hold about 5.5 times as many at n = 12;
+    # json decodes a fresh int for every entry above 256
+    recipe = random_hl(12, seed)
+    assert len(_matching_ints(recipe)) <= 1 << 11
+    path = tmp_path / "r12.json"
+    save_recipe(recipe, path)
+    loaded = load_recipe(path)
+    assert loaded == recipe
+    assert len(_matching_ints(loaded)) <= 1 << 11
+
+
+def test_recipes_hold_no_instance_dict():
+    for recipe in (leaf(), g84(), random_hl(3, 1), loads_recipe(dumps_recipe(hypercube(2)))):
+        assert not hasattr(recipe, "__dict__")
+
+
+@pytest.mark.parametrize("entry", ["true", "false"])
+def test_boolean_matching_entry_is_no_index(entry, tmp_path):
+    # a table of index ints would map true to 1 and false to 0, so the
+    # entries are mapped only after their node's checks
+    doc = json.dumps(
+        {"dim": 2, "node": {"left": json.loads(_K2_DOC), "right": json.loads(_K2_DOC),
+                            "matching": ["?", 1 if entry == "false" else 0]}}
+    ).replace('"?"', entry)
+    message = f"$.node.matching: matching image {entry.title()} outside 0..1"
+    path = tmp_path / "r.json"
+    path.write_text(doc)
+    for load, source in ((loads_recipe, doc), (load_recipe, path), (load_recipe, io.StringIO(doc))):
+        with pytest.raises(RecipeError) as exc:
+            load(source)
+        assert str(exc.value) == message
 
 
 def test_hypercube_guard():
@@ -1091,3 +1138,204 @@ def test_graph_hub_vertex_costs_time_linear_in_its_edges():
     with pytest.raises(ValueError, match=rf"^vertex 0 has degree {m}, expected 40$"):
         load_graph(io.StringIO(doc))
     assert time.perf_counter() - start < 1.5
+
+
+# --- the column loader of graph files ----------------------------------------
+#
+# load_graph(path) writes a file in save_graph's own form straight into the
+# neighbor columns; any other text is read again by the exact loader, which
+# a stream handed in always takes.  The rule for a path: the same columns as
+# the exact loader, row order included, or the identical error.
+
+def _graph_text(graph):
+    stream = io.StringIO()
+    save_graph(graph, stream)
+    return stream.getvalue()
+
+
+_SMALL_DOC = _graph_text(materialize(random_hl(4, 1)))
+_SMALL_HEAD, _SMALL_BODY = _SMALL_DOC.split("\n", 1)
+_SMALL_LINES = _SMALL_BODY.splitlines(keepends=True)
+
+
+def _graph_outcome(source):
+    try:
+        graph = load_graph(source)
+    except ValueError as exc:  # undecodable bytes too
+        return type(exc), str(exc)
+    return graph.n, graph.vertex_count, graph.columns
+
+
+def _assert_column_read_is_the_exact_read(data, tmp_path):
+    path = tmp_path / "g.edges"
+    path.write_bytes(data)
+    with open(path) as stream:  # handed in, so the exact loader reads it
+        expected = _graph_outcome(stream)
+    assert _graph_outcome(path) == expected
+    return expected
+
+
+def _with_lines(lines, head=_SMALL_HEAD):
+    return head + "\n" + "".join(lines)
+
+
+_GRAPH_CASES = {
+    "canonical": _SMALL_DOC,
+    "bad-line": _with_lines(_SMALL_LINES[:5] + ["3 x\n"] + _SMALL_LINES[6:]),
+    "three-fields": _with_lines(_SMALL_LINES[:5] + ["3 4 5\n"] + _SMALL_LINES[6:]),
+    "label-out-of-range": _with_lines(_SMALL_LINES[:-1] + ["14 16\n"]),
+    "unordered-pair": _with_lines(
+        [" ".join(reversed(_SMALL_LINES[0].split())) + "\n"] + _SMALL_LINES[1:]
+    ),
+    "duplicate": _with_lines(_SMALL_LINES[:3] + _SMALL_LINES[2:]),
+    "duplicate-not-overfull": "# hl-graph n=2 vertices=4 edges=4\n0 1\n0 1\n2 3\n2 3\n",
+    "row-past-n": _with_lines(_SMALL_LINES + ["14 15\n"]),
+    "missing-line": _with_lines(_SMALL_LINES[:-1]),
+    "wrong-edge-count": _SMALL_DOC.replace("edges=32", "edges=31", 1),
+    "short-degree": _with_lines(_SMALL_LINES[:-1], _SMALL_HEAD.replace("edges=32", "edges=31")),
+    "shuffled": _with_lines(sorted(_SMALL_LINES, key=lambda ln: hash(ln) % 97)),
+    "comment-line": _with_lines(_SMALL_LINES[:4] + ["# note\n"] + _SMALL_LINES[4:]),
+    "blank-line": _with_lines(_SMALL_LINES[:4] + ["\n"] + _SMALL_LINES[4:]),
+    "padded-line": _with_lines(_SMALL_LINES[:4] + [" " + _SMALL_LINES[4]] + _SMALL_LINES[5:]),
+    "leading-blank": "\n" + _SMALL_DOC,
+    "no-final-newline": _SMALL_DOC[:-1],
+    "trailing-text": _SMALL_DOC + "15",
+    "crlf": _SMALL_DOC.replace("\n", "\r\n"),
+    "leading-zero": _with_lines(["0" + _SMALL_LINES[0]] + _SMALL_LINES[1:]),
+    "non-ascii-digit": _SMALL_DOC.replace("\n1 ", "\n١ ", 1),
+    "header-leading-zero": _SMALL_DOC.replace("n=4", "n=04", 1),
+    "header-extra-field": _SMALL_DOC.replace("edges=32", "edges=32 x=1", 1),
+    "header-tab": _SMALL_DOC.replace("# hl-graph ", "# hl-graph\t", 1),
+    "no-header": _SMALL_BODY,
+    "cut-header": "# hl-cut n=4 g=1 size=1\n" + _SMALL_BODY,
+    "header-field-missing": _SMALL_DOC.replace(" vertices=16", "", 1),
+    "header-vertices": _SMALL_DOC.replace("vertices=16", "vertices=15", 1),
+    "dim-zero": "# hl-graph n=0 vertices=1 edges=0\n",
+    "dim-past-the-guard": "# hl-graph n=21 vertices=2097152 edges=22020096\n0 1\n",
+    "empty": "",
+}
+
+
+@pytest.mark.parametrize("doc", list(_GRAPH_CASES.values()), ids=list(_GRAPH_CASES))
+def test_column_read_is_the_exact_read(doc, tmp_path):
+    expected = _assert_column_read_is_the_exact_read(doc.encode(), tmp_path)
+    assert _graph_outcome(io.StringIO(doc)) == expected
+
+
+def test_column_read_cases_cover_every_loader_message(tmp_path):
+    messages = {
+        _assert_column_read_is_the_exact_read(doc.encode(), tmp_path)[1]
+        for doc in _GRAPH_CASES.values()
+    }
+    patterns = [
+        NO_GRAPH_HEADER,
+        GRAPH_FIELDS,
+        r"header claims \d+ vertices for dim \d+",
+        r"malformed edge line: '.*'",
+        r"invalid literal for int\(\) with base 10: '.*'",
+        r"edge \(\d+, \d+\) out of range or unordered",
+        r"duplicate edge \(\d+, \d+\)",
+        r"header claims \d+ edges, found \d+",
+        r"vertex \d+ has degree \d+, expected \d+",
+    ]
+    for pattern in patterns:
+        assert any(isinstance(m, str) and re.fullmatch(pattern, m) for m in messages), pattern
+
+
+@pytest.mark.parametrize("at", [0, 40, len(_SMALL_DOC) - 2])
+def test_column_read_of_undecodable_bytes(at, tmp_path):
+    data = _SMALL_DOC.encode()
+    expected = _assert_column_read_is_the_exact_read(data[:at] + b"\xff" + data[at:], tmp_path)
+    assert expected[0] is UnicodeDecodeError
+
+
+def _no_exact_read(stream):
+    raise AssertionError("the column loader fell back to the exact loader")
+
+
+@pytest.mark.parametrize("recipe", ROUND_TRIP_RECIPES)
+def test_column_loader_serves_every_saved_graph(recipe, tmp_path, monkeypatch):
+    graph = materialize(recipe)
+    path = tmp_path / "g.edges"
+    save_graph(graph, path)
+    with open(path) as stream:
+        expected = load_graph(stream)
+    monkeypatch.setattr("hlnet.recipes._load_graph_whole", _no_exact_read)
+    loaded = load_graph(path)
+    assert (loaded.n, loaded.columns) == (expected.n, expected.columns)
+    assert len({id(x) for col in loaded.columns for x in col}) == loaded.vertex_count
+    for v in range(graph.vertex_count):
+        assert loaded.neighbors(v) == graph.neighbors(v)
+
+
+@pytest.mark.parametrize("chunk", [1, 2, 3, 5, 8, 13])
+def test_column_loader_across_chunk_boundaries(chunk, tmp_path, monkeypatch):
+    monkeypatch.setattr("hlnet.recipes._EDGE_CHUNK", chunk)
+    path = tmp_path / "g7.edges"
+    save_graph(materialize(random_hl(7, 2)), path)
+    with open(path) as stream:
+        expected = load_graph(stream)
+    for name in ("missing-line", "trailing-text", "bad-line"):
+        _assert_column_read_is_the_exact_read(_GRAPH_CASES[name].encode(), tmp_path)
+    monkeypatch.setattr("hlnet.recipes._load_graph_whole", _no_exact_read)
+    assert load_graph(path).columns == expected.columns
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_shuffled_edge_list_loads_the_same_neighbor_sets(seed, tmp_path):
+    graph = materialize(random_hl(6, seed))
+    head, *lines = _graph_text(graph).splitlines(keepends=True)
+    random.Random(seed).shuffle(lines)
+    path = tmp_path / "g.edges"
+    path.write_text(head + "".join(lines))
+    loaded = load_graph(path)
+    for v in range(graph.vertex_count):
+        assert loaded.neighbors(v) == graph.neighbors(v)
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("0 1\n", "header claims 10485760 edges, found 1"),
+        ("0 1\n1 2\n" * 40, "duplicate edge (0, 1)"),
+        ("", "vertex 0 has degree 0, expected 20"),
+    ],
+    ids=["one-edge", "repeats", "no-edge"],
+)
+def test_graph_path_with_huge_claimed_dimension_costs_little(body, message, tmp_path):
+    # the columns of n = 20 would take 160 MiB before the first edge is read
+    header = "# hl-graph n=20 vertices=1048576 edges="
+    path = tmp_path / "g.edges"
+    path.write_text(header + ("0" if not body else "10485760") + "\n" + body)
+    errors = []
+
+    def run():
+        try:
+            load_graph(path)
+        except ValueError as exc:
+            errors.append(str(exc))
+
+    assert traced_peak(run) < 1 << 20
+    assert errors == [message]
+
+
+_GRAPH_MUTATION_CHARS = "0123456789 \n#x"
+
+
+@st.composite
+def _mutated_edge_lists(draw):
+    text = draw(st.sampled_from([_SMALL_DOC, _GRAPH_CASES["duplicate-not-overfull"]]))
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, 4))
+        insert = draw(st.text(st.sampled_from(_GRAPH_MUTATION_CHARS), max_size=4))
+        text = text[:at] + insert + text[at + cut :]
+    return text
+
+
+@given(doc=_mutated_edge_lists())
+@settings(max_examples=300, deadline=None)
+def test_column_read_of_mutated_edge_lists(doc, tmp_path_factory):
+    tmp_path = tmp_path_factory.mktemp("graph")
+    expected = _assert_column_read_is_the_exact_read(doc.encode(), tmp_path)
+    assert _graph_outcome(io.StringIO(doc)) == expected
